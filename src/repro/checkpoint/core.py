@@ -243,7 +243,9 @@ def resume_simulation(
     )
 
     restore_state(pattern, state["pattern"])
-    restore_state(switch, state["switch"])
+    # Which slot loop runs follows from the resumed run's own wiring (a
+    # tracer attached on resume needs the general loop), not the capture.
+    restore_state(switch, state["switch"], skip=("_fast_slot", "_observing"))
     if metrics is not None and state["metrics"] is not None:
         restore_metrics(metrics, state["metrics"])
     if exporter is not None and exporter_state is not None:

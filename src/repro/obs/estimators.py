@@ -21,7 +21,10 @@ actually needs:
 
 Both are pure Python/numpy state machines with no export opinion; the
 switch wires them into its :class:`~repro.obs.metrics.MetricsRegistry`
-as collector-refreshed gauges (see ``docs/OBSERVABILITY.md``).
+as collector-refreshed gauges (see ``docs/OBSERVABILITY.md``). Both
+also take whole batches (``observe_many`` / ``add_many``), bit-identical
+to per-sample updates; the crossbar's fast block loop flushes its
+forwards through them once per block.
 """
 
 from __future__ import annotations
@@ -74,6 +77,35 @@ class RateEstimator:
         self._slot[input, output] = slot
         self.events += 1
 
+    def observe_many(self, events) -> None:
+        """Record ``(input, output, slot)`` events in order.
+
+        Bit-identical to calling :meth:`observe` once per event: each
+        decay is the same numpy power ``(1 - alpha) ** np.int64(gap)``
+        (a Python ``float ** int`` can differ in the last bit), cached
+        per gap, and the state is updated in plain Python floats and
+        written back in place once.
+        """
+        n = self.n
+        alpha = self.alpha
+        base = 1.0 - alpha
+        values = self._value.ravel().tolist()
+        slots = self._slot.ravel().tolist()
+        decays: dict[int, float] = {}
+        count = 0
+        for input, output, slot in events:
+            key = input * n + output
+            gap = slot - slots[key]
+            decay = decays.get(gap)
+            if decay is None:
+                decay = decays[gap] = float(base ** np.int64(gap))
+            values[key] = values[key] * decay + alpha
+            slots[key] = slot
+            count += 1
+        self._value[...] = np.array(values).reshape(n, n)
+        self._slot[...] = np.array(slots, dtype=np.int64).reshape(n, n)
+        self.events += count
+
     def rate(self, input: int, output: int, at_slot: int) -> float:
         """The pair's estimated events/slot as of ``at_slot``."""
         decay = (1.0 - self.alpha) ** (at_slot - self._slot[input, output])
@@ -106,6 +138,22 @@ class RateEstimator:
         ]
 
 
+def _p2_height(h_lo: float, h: float, h_hi: float,
+               p_lo: float, p: float, p_hi: float, d: float) -> float:
+    """A P² marker's new height after moving ``d`` (±1) positions: the
+    parabolic prediction, or the linear one when the parabola would
+    leave the neighbouring markers' bracket."""
+    candidate = h + d / (p_hi - p_lo) * (
+        (p - p_lo + d) * (h_hi - h) / (p_hi - p)
+        + (p_hi - p - d) * (h - h_lo) / (p - p_lo)
+    )
+    if h_lo < candidate < h_hi:
+        return candidate
+    if d > 0.0:
+        return h + d * (h_hi - h) / (p_hi - p)
+    return h + d * (h_lo - h) / (p_lo - p)
+
+
 class P2Quantile:
     """One streaming quantile via the P² algorithm (Jain & Chlamtac '85).
 
@@ -135,57 +183,83 @@ class P2Quantile:
                          3.0 + 2.0 * self.q, 5.0]
 
     def add(self, x: float) -> None:
-        self.count += 1
+        self.add_many((x,))
+
+    def add_many(self, xs) -> None:
+        """Observe every sample of ``xs`` in order.
+
+        Bit-identical to calling :meth:`add` once per sample (``add`` is
+        its one-sample case); the marker state lives in locals for the
+        whole batch and is written back once.
+        """
+        count = self.count
         heights = self._heights
-        if self.count <= 5:
-            heights.append(float(x))
-            heights.sort()
-            return
+        xs = iter(xs)
+        if count < 5:
+            # Warm-up: the first five samples become the sorted markers.
+            for x in xs:
+                count += 1
+                heights.append(float(x))
+                heights.sort()
+                if count == 5:
+                    break
+            if count < 5:
+                self.count = count
+                return
 
-        # Find the cell k such that heights[k] <= x < heights[k+1],
-        # stretching the extreme markers when x falls outside them.
-        if x < heights[0]:
-            heights[0] = float(x)
-            k = 0
-        elif x >= heights[4]:
-            heights[4] = float(x)
-            k = 3
-        else:
-            k = 0
-            while k < 3 and not (heights[k] <= x < heights[k + 1]):
-                k += 1
+        h0, h1, h2, h3, h4 = heights
+        p0, p1, p2, p3, p4 = self._positions
+        d0, d1, d2, d3, d4 = self._desired
+        # increments[0] is 0.0: the minimum's desired position never moves.
+        _, i1, i2, i3, i4 = self._increments
+        for x in xs:
+            count += 1
+            # Find the cell k such that heights[k] <= x < heights[k+1]
+            # (stretching the extreme markers when x falls outside them)
+            # and shift the positions of markers k+1..4.
+            if x < h0:
+                h0 = float(x)
+                p1 += 1.0
+                p2 += 1.0
+                p3 += 1.0
+            elif x >= h4:
+                h4 = float(x)
+            elif h0 <= x < h1:
+                p1 += 1.0
+                p2 += 1.0
+                p3 += 1.0
+            elif h1 <= x < h2:
+                p2 += 1.0
+                p3 += 1.0
+            elif h2 <= x < h3:
+                p3 += 1.0
+            p4 += 1.0
+            d1 += i1
+            d2 += i2
+            d3 += i3
+            d4 += i4
 
-        positions = self._positions
-        for index in range(k + 1, 5):
-            positions[index] += 1.0
-        for index in range(5):
-            self._desired[index] += self._increments[index]
-
-        # Adjust the three interior markers toward their desired spots.
-        for index in (1, 2, 3):
-            delta = self._desired[index] - positions[index]
-            below = positions[index] - positions[index - 1]
-            above = positions[index + 1] - positions[index]
-            if (delta >= 1.0 and above > 1.0) or (delta <= -1.0 and below > 1.0):
-                step = 1.0 if delta >= 1.0 else -1.0
-                candidate = self._parabolic(index, step)
-                if heights[index - 1] < candidate < heights[index + 1]:
-                    heights[index] = candidate
-                else:
-                    heights[index] = self._linear(index, step)
-                positions[index] += step
-
-    def _parabolic(self, i: int, d: float) -> float:
-        h, p = self._heights, self._positions
-        return h[i] + d / (p[i + 1] - p[i - 1]) * (
-            (p[i] - p[i - 1] + d) * (h[i + 1] - h[i]) / (p[i + 1] - p[i])
-            + (p[i + 1] - p[i] - d) * (h[i] - h[i - 1]) / (p[i] - p[i - 1])
-        )
-
-    def _linear(self, i: int, d: float) -> float:
-        h, p = self._heights, self._positions
-        step = int(d)
-        return h[i] + d * (h[i + step] - h[i]) / (p[i + step] - p[i])
+            # Move each interior marker one step toward its desired
+            # position when it is off by >= 1 and has room to move.
+            delta = d1 - p1
+            if (delta >= 1.0 and p2 - p1 > 1.0) or (delta <= -1.0 and p1 - p0 > 1.0):
+                d = 1.0 if delta >= 1.0 else -1.0
+                h1 = _p2_height(h0, h1, h2, p0, p1, p2, d)
+                p1 += d
+            delta = d2 - p2
+            if (delta >= 1.0 and p3 - p2 > 1.0) or (delta <= -1.0 and p2 - p1 > 1.0):
+                d = 1.0 if delta >= 1.0 else -1.0
+                h2 = _p2_height(h1, h2, h3, p1, p2, p3, d)
+                p2 += d
+            delta = d3 - p3
+            if (delta >= 1.0 and p4 - p3 > 1.0) or (delta <= -1.0 and p3 - p2 > 1.0):
+                d = 1.0 if delta >= 1.0 else -1.0
+                h3 = _p2_height(h2, h3, h4, p2, p3, p4, d)
+                p3 += d
+        heights[:] = (h0, h1, h2, h3, h4)
+        self._positions[:] = (p0, p1, p2, p3, p4)
+        self._desired[:] = (d0, d1, d2, d3, d4)
+        self.count = count
 
     @property
     def value(self) -> float:
@@ -217,9 +291,13 @@ class StreamingQuantiles:
         self.count = 0
 
     def add(self, x: float) -> None:
-        self.count += 1
+        self.add_many((x,))
+
+    def add_many(self, xs) -> None:
+        """Feed a batch of samples (a sequence) to every cell, in order."""
+        self.count += len(xs)
         for cell in self.cells.values():
-            cell.add(x)
+            cell.add_many(xs)
 
     def reset(self) -> None:
         self.count = 0

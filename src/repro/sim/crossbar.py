@@ -24,6 +24,16 @@ tie-break-depth distributions). With neither attached — or with a
 ``is not None`` check per stage and nothing else; results are
 bit-identical to an uninstrumented run (property-tested).
 
+Two slot loops: the general :meth:`InputQueuedSwitch.step` handles
+every feature, and the block loop in :meth:`~InputQueuedSwitch.
+run_slots` runs bitset kernels straight off the VOQ masks. A metrics
+registry alone keeps the block loop: it keeps per-slot tallies, reads
+the decision metrics off the scheduler's trace recorder, and flushes
+counters and live estimators once per block, so every instrument ends
+each block exactly as the general loop leaves it.
+:attr:`~InputQueuedSwitch.fast_slot_blocker` says which loop a switch
+takes, and why.
+
 Fault stances: with an ``injector`` alone the switch is *informed* —
 requests over faulted crosspoints are masked out before the scheduler
 sees them (an oracle tells it the fault state). Attaching an
@@ -160,18 +170,9 @@ class InputQueuedSwitch:
         self.recovery_events = 0
         self.degraded_slots = 0
         self.masked_grants = 0
-        # Uninstrumented slots with a bitmask-kernel scheduler take the
-        # branch-free fast loop: requests come straight from the VOQ
-        # bitmasks, so no request matrix, no defensive copy and no numpy
-        # scratch is ever allocated. Results are bit-identical to the
-        # instrumented loop (property-tested in tests/fastpath/).
-        # The capability probe is type-level on purpose: wrappers like
-        # RequestLossFilter forward unknown attributes to their inner
-        # scheduler, and a forwarded schedule_masks would bypass the
-        # wrapper's own filtering. Beyond 64 ports the VOQ masks are
-        # word tuples, so the probe requires the multi-word entry point
-        # (``schedule_words``) instead.
-        self._fast_slot = self._probe_fast_slot()
+        # Untraced slots with a bitmask-kernel scheduler take the fast
+        # block loop (see fast_slot_blocker).
+        self._fast_slot = self.fast_slot_blocker is None
         if injector is not None:
             self._down_in_prev = np.zeros(n, dtype=bool)
             self._down_out_prev = np.zeros(n, dtype=bool)
@@ -188,23 +189,45 @@ class InputQueuedSwitch:
                     "recovery_time", (0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
                 )
 
-    def _probe_fast_slot(self) -> bool:
-        """Whether the current scheduler/instrumentation combination can
-        take the branch-free bitmask loop (see the comment in
-        ``__init__``)."""
-        kernel_entry = (
-            "schedule_masks" if self.voqs.row_words is None else "schedule_words"
-        )
-        return (
-            not self._observing
-            and self.injector is None
-            and self.adapter is None
-            and self.output_gate is None
-            and self.forward_sink is None
-            and self.admission is None
-            and getattr(self.scheduler, "weight_kind", None) is None
-            and callable(getattr(type(self.scheduler), kernel_entry, None))
-        )
+    @property
+    def fast_slot_blocker(self) -> str | None:
+        """Why this switch cannot take the fast block loop, or ``None``.
+
+        The fast loop feeds a bitmask kernel straight from the VOQ
+        bitmasks, so no request matrix, defensive copy or numpy scratch
+        is allocated per slot; results and metrics are bit-identical to
+        the general loop (property-tested in ``tests/fastpath/``). The
+        reason is the first failing condition: ``"tracer attached"``,
+        ``"topology injector"``, ``"adapter"``, ``"output gate"``,
+        ``"forward sink"``, ``"admission"``, ``"weight scheduler"``, or
+        ``"no <entry> on <scheduler type>"``. A metrics registry is not a
+        blocker.
+
+        The kernel probe is type-level on purpose: wrappers like
+        RequestLossFilter forward unknown attributes to their inner
+        scheduler, and a forwarded ``schedule_masks`` would bypass the
+        wrapper's own filtering. Beyond 64 ports the VOQ masks are word
+        tuples, so the probe requires the multi-word entry point
+        (``schedule_words``) instead.
+        """
+        if self.tracer is not None:
+            return "tracer attached"
+        if self.injector is not None:
+            return "topology injector"
+        if self.adapter is not None:
+            return "adapter"
+        if self.output_gate is not None:
+            return "output gate"
+        if self.forward_sink is not None:
+            return "forward sink"
+        if self.admission is not None:
+            return "admission"
+        if getattr(self.scheduler, "weight_kind", None) is not None:
+            return "weight scheduler"
+        entry = "schedule_masks" if self.voqs.row_words is None else "schedule_words"
+        if not callable(getattr(type(self.scheduler), entry, None)):
+            return f"no {entry} on {type(self.scheduler).__name__}"
+        return None
 
     def reset_run(self, scheduler: Scheduler | None = None) -> None:
         """Re-arm the switch for a fresh run without rebuilding it.
@@ -238,7 +261,7 @@ class InputQueuedSwitch:
                     f"config has {self.config.n_ports} ports"
                 )
             self.scheduler = scheduler
-            self._fast_slot = self._probe_fast_slot()
+            self._fast_slot = self.fast_slot_blocker is None
         else:
             self.scheduler.reset()
         for pq in self.pqs:
@@ -269,7 +292,8 @@ class InputQueuedSwitch:
     def step(self, slot: int, arrivals: np.ndarray) -> np.ndarray:
         """Advance one time slot; returns the schedule that was applied."""
         if self._fast_slot:
-            return self._step_fast(slot, arrivals)
+            grants = self._run_fast_block(slot, (arrivals,))
+            return np.array(grants, dtype=np.int64)
         observing = self._observing
         injector = self.injector
         if injector is not None:
@@ -405,55 +429,6 @@ class InputQueuedSwitch:
             self.service.record(schedule)
         return schedule
 
-    def _step_fast(self, slot: int, arrivals: np.ndarray) -> np.ndarray:
-        """The uninstrumented slot loop over VOQ bitmasks.
-
-        Same four stages in the same order as :meth:`step`, but the
-        scheduler is fed the incrementally-maintained request bitmasks
-        (``VOQSet.row_masks`` / ``col_masks``) instead of a freshly
-        built boolean matrix, and all bookkeeping stays in plain Python
-        ints. Statistics are bit-identical to the general loop.
-        """
-        measuring = self.measuring
-        pqs = self.pqs
-        voqs = self.voqs
-
-        # 1. Generation into PQs.
-        for i, dst in enumerate(arrivals.tolist()):
-            if dst != NO_ARRIVAL:
-                if measuring:
-                    self.offered += 1
-                pqs[i].push(dst, slot)
-
-        # 2. Injection: one packet per input link per slot, head blocking.
-        for i, pq in enumerate(pqs):
-            head = pq.head()
-            if head is not None and voqs.has_space(i, head[0]):
-                dst, t_generated = pq.pop()
-                voqs.push(i, dst, t_generated)
-
-        # 3. Scheduling straight off the maintained bitmasks (the kernel
-        #    only reads them; forwarding below updates them via pop).
-        if voqs.row_words is None:
-            grants = self.scheduler.schedule_masks(voqs.row_masks, voqs.col_masks)
-        else:
-            grants = self.scheduler.schedule_words(voqs.row_words, voqs.col_words)
-
-        # 4. Forwarding.
-        for i, j in enumerate(grants):
-            if j == NO_GRANT:
-                continue
-            delay = slot - voqs.pop(i, j) + 1
-            if measuring:
-                self.forwarded += 1
-                self.latency.add(delay)
-                if self.latency_samples is not None:
-                    self.latency_samples.append(delay)
-        schedule = np.array(grants, dtype=np.int64)
-        if measuring and self.service is not None:
-            self.service.record(schedule)
-        return schedule
-
     def run_slots(self, first_slot: int, arrivals_block: list[np.ndarray]) -> None:
         """Advance one consecutive block of slots.
 
@@ -463,8 +438,8 @@ class InputQueuedSwitch:
         per *block*: attribute lookups are hoisted out of the loop, the
         destination vectors are converted to plain ints in one pass, and
         no numpy schedule array is materialised unless service counts
-        are being collected. Statistics stay bit-identical to per-slot
-        stepping (property-tested in ``tests/fastpath/``).
+        are being collected. Statistics and metrics stay bit-identical
+        to per-slot stepping (property-tested in ``tests/fastpath/``).
 
         ``measuring`` must not change mid-block — the simulation driver
         splits its blocks at the warmup boundary.
@@ -475,31 +450,55 @@ class InputQueuedSwitch:
                 self.step(slot, arrivals)
                 slot += 1
             return
+        self._run_fast_block(first_slot, arrivals_block)
 
+    def _run_fast_block(self, first_slot: int, arrivals_block) -> list[int]:
+        """The fast slot loop over VOQ bitmasks; returns the last slot's
+        grants.
+
+        Same four stages in the same order as :meth:`step`, but the
+        scheduler is fed the incrementally-maintained request bitmasks
+        (``VOQSet.row_masks`` / ``col_masks``, or the word tuples beyond
+        64 ports) and all bookkeeping stays in plain Python ints. With a
+        metrics registry each slot keeps only cheap tallies — the grant
+        count, the decision trace, the pending RR override — and the
+        counters, forward buffers and live estimators are flushed at the
+        end of the block, the only place exporters and checkpoints look.
+        """
         measuring = self.measuring
         pqs = self.pqs
         voqs = self.voqs
         has_space = voqs.has_space
         voq_push = voqs.push
         voq_pop = voqs.pop
+        scheduler = self.scheduler
         if voqs.row_words is None:
-            kernel = self.scheduler.schedule_masks
+            kernel = scheduler.schedule_masks
             rows, cols = voqs.row_masks, voqs.col_masks
         else:
-            kernel = self.scheduler.schedule_words
+            kernel = scheduler.schedule_words
             rows, cols = voqs.row_words, voqs.col_words
         latency_add = self.latency.add
         samples = self.latency_samples
         service = self.service if measuring else None
-        offered = forwarded = 0
+        arrived = departed = 0
+
+        metered = self.metrics is not None
+        forwards = delays = None
+        if metered:
+            requests = voqs.row_masks
+            has_rr = hasattr(scheduler, "rr_position")
+            observe_matching = self._m_matching.observe
+            dropped_before = self.dropped
+            overrides = 0
+            forwards, delays = [], []
 
         slot = first_slot
         for arrivals in arrivals_block:
             # 1. Generation into PQs.
             for i, dst in enumerate(arrivals.tolist()):
                 if dst != NO_ARRIVAL:
-                    if measuring:
-                        offered += 1
+                    arrived += 1
                     pqs[i].push(dst, slot)
 
             # 2. Injection: one packet per input link per slot.
@@ -509,7 +508,16 @@ class InputQueuedSwitch:
                     dst, t_generated = pq.pop()
                     voq_push(i, dst, t_generated)
 
-            # 3. Scheduling straight off the maintained bitmasks.
+            # 3. Scheduling straight off the maintained bitmasks (the
+            #    kernel only reads them; forwarding updates them via
+            #    pop). The distributed RR overlay pre-matches its
+            #    position before the iterations run, so note it first.
+            if metered:
+                pending_rr = None
+                if has_rr:
+                    rr_i, rr_j = scheduler.rr_position
+                    if requests[rr_i] >> rr_j & 1:
+                        pending_rr = (rr_i, rr_j)
             grants = kernel(rows, cols)
 
             # 4. Forwarding.
@@ -517,17 +525,36 @@ class InputQueuedSwitch:
                 if j == NO_GRANT:
                     continue
                 delay = slot - voq_pop(i, j) + 1
+                departed += 1
                 if measuring:
-                    forwarded += 1
                     latency_add(delay)
                     if samples is not None:
                         samples.append(delay)
+                if forwards is not None:
+                    forwards.append((i, j, slot))
+                    delays.append(delay)
             if service is not None:
                 service.record(np.array(grants, dtype=np.int64))
+            if metered:
+                observe_matching(len(grants) - grants.count(NO_GRANT))
+                overrides += self._translate_trace(slot, pending_rr)
             slot += 1
 
-        self.offered += offered
-        self.forwarded += forwarded
+        if measuring:
+            self.offered += arrived
+            self.forwarded += departed
+        if metered:
+            self._m_arrivals.inc(arrived)
+            self._m_dropped.inc(self.dropped - dropped_before)
+            self._m_slots.inc(len(arrivals_block))
+            self._m_grants.inc(departed)  # every grant forwards a packet
+            self._m_rr.inc(overrides)
+            self._m_forwarded.inc(departed)
+            if forwards:
+                self.rate_estimator.observe_many(forwards)
+                self.delay_quantiles.add_many(delays)
+                self._live_slot = forwards[-1][2]
+        return grants
 
     # -- fault tracking (only reached with an injector attached) --
 
@@ -620,7 +647,31 @@ class InputQueuedSwitch:
     ) -> None:
         """Translate the scheduler's decision recorder into events/metrics."""
         tracer, metrics = self.tracer, self.metrics
+        overrides = self._translate_trace(slot, self._pending_rr)
+        matching_size = int(np.count_nonzero(schedule != NO_GRANT))
+        if tracer is not None:
+            voq = [int(x) for x in self.voqs.occupancy.sum(axis=1)]
+            tracer.emit(ev.slot_summary(slot, matching_size, request_total, voq))
+        if metrics is not None:
+            self._m_slots.inc()
+            self._m_grants.inc(matching_size)
+            self._m_matching.observe(matching_size)
+            if overrides:
+                self._m_rr.inc(overrides)
+
+    def _translate_trace(self, slot: int, pending_rr: tuple[int, int] | None) -> int:
+        """One slot's decision trace → events and decision metrics.
+
+        Reads the scheduler's ``last_trace`` (StepTrace or
+        IterationTrace records), emits the decision events when a
+        tracer is attached, feeds the choice-count and tie-break-depth
+        histograms when metrics are, and returns the slot's RR override
+        count. ``pending_rr`` is the distributed RR overlay's pre-match,
+        which the iteration trace never sees. Both slot loops call this.
+        """
+        tracer, metrics = self.tracer, self.metrics
         trace = getattr(self.scheduler, "last_trace", None)
+        overrides = 0
         if trace and isinstance(trace[0], StepTrace):
             # Central LCF: one record per per-output allocation step.
             for step in trace:
@@ -628,6 +679,11 @@ class InputQueuedSwitch:
                 if granted != NO_GRANT:
                     choices = int(step.nrq_before[granted])
                     tie_depth = (granted - step.rr_row) % self.n
+                    if metrics is not None:
+                        self._m_choices.observe(choices)
+                        self._m_tie_depth.observe(tie_depth)
+                    if step.rr_won:
+                        overrides += 1
                 else:
                     choices = tie_depth = -1
                 if tracer is not None:
@@ -639,11 +695,6 @@ class InputQueuedSwitch:
                     )
                     if step.rr_won:
                         tracer.emit(ev.rr_override(slot, granted, step.output))
-                if metrics is not None and granted != NO_GRANT:
-                    self._m_choices.observe(choices)
-                    self._m_tie_depth.observe(tie_depth)
-                    if step.rr_won:
-                        self._m_rr.inc()
         elif trace and isinstance(trace[0], IterationTrace):
             # Distributed LCF: one record per request/grant/accept round.
             for index, it in enumerate(trace):
@@ -660,21 +711,11 @@ class InputQueuedSwitch:
                 if metrics is not None:
                     for i, _ in it.accepts:
                         self._m_choices.observe(int(it.nrq[i]))
-            if self._pending_rr is not None:
-                rr_i, rr_j = self._pending_rr
+            if pending_rr is not None:
+                overrides += 1
                 if tracer is not None:
-                    tracer.emit(ev.rr_override(slot, rr_i, rr_j))
-                if metrics is not None:
-                    self._m_rr.inc()
-
-        matching_size = int(np.count_nonzero(schedule != NO_GRANT))
-        if tracer is not None:
-            voq = [int(x) for x in self.voqs.occupancy.sum(axis=1)]
-            tracer.emit(ev.slot_summary(slot, matching_size, request_total, voq))
-        if metrics is not None:
-            self._m_slots.inc()
-            self._m_grants.inc(matching_size)
-            self._m_matching.observe(matching_size)
+                    tracer.emit(ev.rr_override(slot, *pending_rr))
+        return overrides
 
     def _record_forward(self, slot: int, input: int, output: int, delay: int) -> None:
         if self.tracer is not None:

@@ -1,7 +1,8 @@
 """The switch's zero-allocation fast slot loop.
 
 Engagement rules (the loop must only run when it is exactly equivalent
-to the instrumented loop), bit-identity of whole runs, and the
+to the instrumented loop, and ``fast_slot_blocker`` names the first rule
+that keeps a switch off it), bit-identity of whole runs, and the
 degraded-mode wrapper interaction: the type-level capability probe must
 never let attribute forwarding smuggle an unfiltered ``schedule_masks``
 past a loss filter.
@@ -16,7 +17,9 @@ from repro.faults import FaultInjector, FaultPlan, PortDownInterval
 from repro.faults.channel import FastRequestLossFilter, RequestLossFilter
 from repro.fastpath.lcf import FastLCFCentralRR
 from repro.fastpath.registry import fast_schedulers
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import RingTracer
+from repro.sim.admission import AdmissionController
 from repro.sim.config import SimConfig
 from repro.sim.crossbar import InputQueuedSwitch
 from repro.sim.simulator import build_switch, run_simulation
@@ -28,16 +31,41 @@ class TestEngagement:
     def test_bare_bitset_kernel_takes_the_fast_loop(self):
         switch = InputQueuedSwitch(CONFIG, FastLCFCentralRR(4))
         assert switch._fast_slot
+        assert switch.fast_slot_blocker is None
 
     def test_reference_scheduler_does_not(self):
         switch = InputQueuedSwitch(CONFIG, make_scheduler("lcf_central_rr", 4))
         assert not switch._fast_slot
+        assert switch.fast_slot_blocker == "no schedule_masks on LCFCentralRR"
+
+    def test_wide_switch_probes_the_multi_word_entry(self):
+        config = CONFIG.with_(n_ports=65)
+        switch = InputQueuedSwitch(config, make_scheduler("islip", 65))
+        assert switch.fast_slot_blocker == "no schedule_words on ISLIP"
 
     def test_instrumentation_disables_the_fast_loop(self):
         switch = InputQueuedSwitch(
             CONFIG, FastLCFCentralRR(4), tracer=RingTracer(1 << 10)
         )
         assert not switch._fast_slot
+        assert switch.fast_slot_blocker == "tracer attached"
+
+    def test_metrics_only_keeps_the_fast_loop(self):
+        switch = InputQueuedSwitch(
+            CONFIG, FastLCFCentralRR(4), metrics=MetricsRegistry()
+        )
+        assert switch._fast_slot
+        assert switch.fast_slot_blocker is None
+
+    def test_tracer_plus_metrics_still_disables_the_fast_loop(self):
+        switch = InputQueuedSwitch(
+            CONFIG,
+            FastLCFCentralRR(4),
+            tracer=RingTracer(1 << 10),
+            metrics=MetricsRegistry(),
+        )
+        assert not switch._fast_slot
+        assert switch.fast_slot_blocker == "tracer attached"
 
     def test_topology_faults_disable_the_fast_loop(self):
         plan = FaultPlan(port_down=(PortDownInterval(1, 5, 20, "input"),))
@@ -45,14 +73,33 @@ class TestEngagement:
             CONFIG, FastLCFCentralRR(4), injector=FaultInjector(plan, 4, seed=1)
         )
         assert not switch._fast_slot
+        assert switch.fast_slot_blocker == "topology injector"
 
     def test_adapter_disables_the_fast_loop(self):
         switch = InputQueuedSwitch(CONFIG, FastLCFCentralRR(4), adapter=AdaptiveLCF())
         assert not switch._fast_slot
+        assert switch.fast_slot_blocker == "adapter"
+
+    def test_fabric_hooks_and_admission_disable_the_fast_loop(self):
+        def gate(slot):
+            return np.zeros(4, dtype=bool)
+
+        def sink(slot, i, j, payload):
+            return 1
+
+        for kwargs, reason in (
+            ({"output_gate": gate}, "output gate"),
+            ({"forward_sink": sink}, "forward sink"),
+            ({"admission": AdmissionController(50, 100)}, "admission"),
+        ):
+            switch = InputQueuedSwitch(CONFIG, FastLCFCentralRR(4), **kwargs)
+            assert not switch._fast_slot
+            assert switch.fast_slot_blocker == reason
 
     def test_weight_scheduler_never_takes_the_fast_loop(self):
         switch = InputQueuedSwitch(CONFIG, make_scheduler("lqf", 4))
         assert not switch._fast_slot
+        assert switch.fast_slot_blocker == "weight scheduler"
 
     def test_forwarded_schedule_masks_does_not_fool_the_probe(self):
         # The plain RequestLossFilter forwards unknown attributes to the
@@ -63,7 +110,9 @@ class TestEngagement:
         injector = FaultInjector(FaultPlan(request_loss=0.3), 4, seed=1)
         wrapped = RequestLossFilter(FastLCFCentralRR(4), injector)
         assert callable(wrapped.schedule_masks)  # forwarding is live...
-        assert not InputQueuedSwitch(CONFIG, wrapped)._fast_slot  # ...ignored
+        switch = InputQueuedSwitch(CONFIG, wrapped)
+        assert not switch._fast_slot  # ...ignored
+        assert switch.fast_slot_blocker == "no schedule_masks on RequestLossFilter"
 
     def test_fast_loss_filter_takes_the_fast_loop_with_its_own_kernel(self):
         # FastRequestLossFilter defines schedule_masks on the class, so
@@ -76,6 +125,7 @@ class TestEngagement:
         )
         assert isinstance(switch.scheduler, FastRequestLossFilter)
         assert switch._fast_slot
+        assert switch.fast_slot_blocker is None
 
 
 class TestRunEquivalence:

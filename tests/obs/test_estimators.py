@@ -334,3 +334,131 @@ class TestP2CheckpointRoundTrip:
         twin = StreamingQuantiles()
         restore_state(twin, snapshot)
         assert twin.values() == bank.values()
+
+
+# ---------------------------------------------------------------------------
+# Batched updates (the crossbar's fast block loop flushes per block)
+# ---------------------------------------------------------------------------
+
+
+def split(stream: list, cuts: list[int]) -> list[list]:
+    """``stream`` cut into consecutive chunks at the (sorted) ``cuts``."""
+    bounds = [0, *sorted(min(c, len(stream)) for c in cuts), len(stream)]
+    return [stream[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def textbook_p2(q: float, stream: list) -> tuple[list, list, list]:
+    """Reference P² (Jain & Chlamtac's per-sample update, list-based):
+    the final ``(heights, positions, desired)`` after ``stream``."""
+    heights: list[float] = []
+    positions = [1.0, 2.0, 3.0, 4.0, 5.0]
+    desired = [1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q, 3.0 + 2.0 * q, 5.0]
+    increments = [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0]
+    for x in stream:
+        if len(heights) < 5:
+            heights.append(float(x))
+            heights.sort()
+            continue
+        if x < heights[0]:
+            heights[0] = float(x)
+            k = 0
+        elif x >= heights[4]:
+            heights[4] = float(x)
+            k = 3
+        else:
+            k = 0
+            while k < 3 and not (heights[k] <= x < heights[k + 1]):
+                k += 1
+        for index in range(k + 1, 5):
+            positions[index] += 1.0
+        for index in range(5):
+            desired[index] += increments[index]
+        h, p = heights, positions
+        for i in (1, 2, 3):
+            delta = desired[i] - p[i]
+            if (delta >= 1.0 and p[i + 1] - p[i] > 1.0) or (
+                delta <= -1.0 and p[i] - p[i - 1] > 1.0
+            ):
+                d = 1.0 if delta >= 1.0 else -1.0
+                candidate = h[i] + d / (p[i + 1] - p[i - 1]) * (
+                    (p[i] - p[i - 1] + d) * (h[i + 1] - h[i]) / (p[i + 1] - p[i])
+                    + (p[i + 1] - p[i] - d) * (h[i] - h[i - 1]) / (p[i] - p[i - 1])
+                )
+                if h[i - 1] < candidate < h[i + 1]:
+                    h[i] = candidate
+                else:
+                    s = int(d)
+                    h[i] = h[i] + d * (h[i + s] - h[i]) / (p[i + s] - p[i])
+                p[i] += d
+    return heights, positions, desired
+
+
+class TestBatchedUpdates:
+    @given(
+        stream=st.lists(
+            st.one_of(st.integers(1, 40), st.floats(-1e6, 1e6)), max_size=300
+        ),
+        cuts=st.lists(st.integers(0, 300), max_size=8),
+        q=st.sampled_from((0.5, 0.9, 0.99, 0.25)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_p2_add_many_over_any_split_equals_per_sample_add(
+        self, stream, cuts, q
+    ):
+        single = P2Quantile(q)
+        for x in stream:
+            single.add(x)
+        batched = P2Quantile(q)
+        for chunk in split(stream, cuts):
+            batched.add_many(chunk)
+        assert batched.count == single.count == len(stream)
+        assert batched._heights == single._heights
+        assert batched._positions == single._positions
+        assert batched._desired == single._desired
+        heights, positions, desired = textbook_p2(q, stream)
+        assert [repr(h) for h in single._heights] == [repr(h) for h in heights]
+        assert (single._positions, single._desired) == (positions, desired)
+
+    @given(
+        stream=st.lists(st.integers(1, 40), max_size=200),
+        cuts=st.lists(st.integers(0, 200), max_size=6),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_streaming_bank_add_many_equals_add(self, stream, cuts):
+        single, batched = StreamingQuantiles(), StreamingQuantiles()
+        for x in stream:
+            single.add(x)
+        for chunk in split(stream, cuts):
+            batched.add_many(chunk)
+        assert batched.count == single.count
+        for q, cell in single.cells.items():
+            twin = batched.cells[q]
+            assert (twin._heights, twin._positions, twin._desired) == (
+                cell._heights, cell._positions, cell._desired
+            )
+
+    @given(
+        steps=st.lists(
+            st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 40)),
+            max_size=120,
+        ),
+        cuts=st.lists(st.integers(0, 120), max_size=6),
+        alpha=st.sampled_from((0.02, 0.1, 0.5, 1.0)),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_observe_many_equals_observe_bitwise(self, steps, cuts, alpha):
+        # Slots are non-decreasing (the crossbar's contract); the steps
+        # are gaps, so long silences exercise large decay powers.
+        events, slot = [], 0
+        for i, j, gap in steps:
+            slot += gap
+            events.append((i, j, slot))
+        single = RateEstimator(4, alpha=alpha)
+        for event in events:
+            single.observe(*event)
+        batched = RateEstimator(4, alpha=alpha)
+        for chunk in split(events, cuts):
+            batched.observe_many(chunk)
+        assert batched._value.tobytes() == single._value.tobytes()
+        assert np.array_equal(batched._slot, single._slot)
+        assert batched.events == single.events
