@@ -18,8 +18,8 @@ Run as a script to (re)generate the committed perf baseline::
     PYTHONPATH=src python benchmarks/bench_scheduler_speed.py BENCH_speed.json
 
 which measures every fastpath kernel against its reference twin at
-n in {4, 16, 32, 64, 128, 256} (the widest cells exercise the
-multi-word kernel layouts) and writes the JSON report that
+n in {4, 16, 32, 64, 128, 256} (the widest cells run the kernels on
+masks wider than one machine word) and writes the JSON report that
 ``tools/check_bench_regression.py`` gates CI on. The committed
 baseline also carries the ``columnar_*`` replicate-batching families —
 regenerate those with ``benchmarks/bench_columnar.py`` — and the

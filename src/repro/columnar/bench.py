@@ -38,8 +38,8 @@ DEFAULT_COLUMNAR_SCHEDULERS = columnar_schedulers()
 #: Replicate counts per family (the sweep's common block sizes).
 DEFAULT_REPLICATES = (8, 32)
 
-#: Switch widths per cell. 128 exercises the multi-word request packing
-#: and the widths where serial per-slot Python overhead peaks.
+#: Switch widths per cell. 128 exercises request masks wider than one
+#: word and the widths where serial per-slot Python overhead peaks.
 DEFAULT_COLUMNAR_SIZES = (16, 64, 128)
 
 #: Offered load of the benchmark runs — the paper's high-load region,

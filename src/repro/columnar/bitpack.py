@@ -4,8 +4,9 @@ The columnar engine computes on boolean tensors (numpy vectorises those
 directly), but exposes the packed ``(R, n, words)`` uint64 layout for
 inspection and for cross-checking against the serial fastpath masks:
 word ``w`` of row ``i`` holds bit ``j & 63`` for output ``j = 64*w + k``,
-LSB-first — the same layout as :mod:`repro.fastpath.bitops` word tuples,
-with :data:`~repro.fastpath.bitops.WORD_BITS`-bit words.
+LSB-first, in :data:`~repro.fastpath.bitops.WORD_BITS`-bit words. The
+words of one row, joined low word first, are exactly the serial
+``VOQSet.row_masks`` Python int for that input.
 """
 
 from __future__ import annotations

@@ -209,7 +209,7 @@ class ColumnarEngine:
 
     def request_bitsets(self) -> np.ndarray:
         """Current request state as ``(R, n, words)`` uint64 bitsets —
-        the serial ``VOQSet.row_masks`` / ``row_words`` layout, for
+        the serial ``VOQSet.row_masks`` split into 64-bit words, for
         cross-checks and debugging."""
         return pack_requests(self._reqT.transpose(0, 2, 1))
 

@@ -4,10 +4,10 @@ The paper's central argument (Section 4, Figure 6) is that LCF is
 *cheap hardware*: the whole scheduler is ``O(n)`` priority logic over
 register words. This package is the software analogue — request
 matrices are represented as per-input Python-int bitmasks (one machine
-word per row for ``n <= 64``), and the scheduling kernels run on
-word-level operations (popcount for NRQ recomputation, bit rotation
-for the rotating tie-break chain) instead of per-cycle numpy
-allocations.
+word per row up to 64 ports, one wide int beyond), and the scheduling
+kernels run on word-level operations (popcount for NRQ recomputation,
+bit rotation for the rotating tie-break chain) instead of per-cycle
+numpy allocations.
 
 Every fast kernel is a *drop-in twin* of its reference implementation:
 same registry name, same state machine, same decision trace — and
@@ -25,21 +25,11 @@ the ``BENCH_speed.json`` perf-regression workflow.
 from repro.fastpath.bitops import (
     WORD_BITS,
     derive_cols,
-    derive_cols_words,
-    full_words,
-    int_to_words,
     next_at_or_after,
-    next_at_or_after_words,
     pack_cols,
-    pack_cols_words,
     pack_rows,
-    pack_rows_words,
-    popcount_words,
-    rotating_argmin_words,
     select_kth_bit,
-    select_kth_bit_words,
     unpack_rows,
-    unpack_rows_words,
     word_count,
     words_to_int,
 )
@@ -65,24 +55,14 @@ __all__ = [
     "FastPIM",
     "WORD_BITS",
     "derive_cols",
-    "derive_cols_words",
     "fast_schedulers",
-    "full_words",
     "has_fast_kernel",
-    "int_to_words",
     "make_fast_scheduler",
     "next_at_or_after",
-    "next_at_or_after_words",
     "pack_cols",
-    "pack_cols_words",
     "pack_rows",
-    "pack_rows_words",
-    "popcount_words",
-    "rotating_argmin_words",
     "select_kth_bit",
-    "select_kth_bit_words",
     "unpack_rows",
-    "unpack_rows_words",
     "word_count",
     "words_to_int",
 ]

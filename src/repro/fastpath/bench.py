@@ -39,9 +39,9 @@ from repro.fastpath.registry import fast_schedulers, make_fast_scheduler
 #: Report schema version (bump on incompatible shape changes).
 REPORT_VERSION = 1
 
-#: Switch widths the standard suite measures. 64 and beyond exercise
-#: the multi-word (``n > 64``) kernel layouts and the word-boundary
-#: case; 256 is the four-word layout the scaling guide extrapolates to.
+#: Switch widths the standard suite measures. 64 is the last width whose
+#: rows fit one machine word; 128 and 256 run the same kernels on wide
+#: Python-int masks, the widths the scaling guide extrapolates to.
 DEFAULT_SIZES = (4, 16, 32, 64, 128, 256)
 
 #: Width at and below which cells run the caller's full cycle count;

@@ -3,8 +3,8 @@
 Same request/grant/accept rounds as :class:`repro.baselines.islip.ISLIP`
 — including the first-iteration-only pointer update that desynchronises
 the grant pointers — but the per-output grant and per-input accept
-selections are single-word rotate-and-lowest-bit operations instead of
-numpy argmins. Pointer state lives in plain Python lists; the
+selections are rotate-and-lowest-bit operations on Python-int masks
+instead of numpy argmins. Pointer state lives in plain Python lists; the
 ``pointers`` property still returns numpy arrays so inspection code and
 tests see the reference shape.
 """

@@ -2,7 +2,7 @@
 
 Drop-in twins of :class:`repro.core.lcf_dist.LCFDistributed` and its
 round-robin variant. The Section 5 request/grant/accept exchange is the
-same per-word mask algebra as the central kernel:
+same mask algebra as the central kernel:
 
 * the per-iteration *live* subgraph (unmatched initiators x unmatched
   targets) is ``rows[i] & out_free`` per input — one AND per row;
@@ -19,9 +19,10 @@ the implementations cannot drift apart structurally; bit-identical
 behaviour — schedules, :class:`IterationTrace` streams, pointer
 evolution — is enforced by ``tests/fastpath/``.
 
-Both kernels carry a first-class multi-word path (``schedule_words``)
-for ``n > 64`` switches: masks become word tuples and every scan walks
-machine-sized words (see :mod:`repro.fastpath.bitops`).
+The kernel runs unchanged at every width: beyond 64 ports a row is a
+wide Python int, and every AND, popcount and rotation above stays one
+C-level call on it. A word-tuple transcription (one Python-level loop
+per mask operation) measured about 3x slower at 128 and 256 ports.
 """
 
 from __future__ import annotations
@@ -29,15 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.lcf_dist import IterationTrace, LCFDistributed, LCFDistributedRR
-from repro.fastpath.bitops import (
-    derive_cols,
-    derive_cols_words,
-    full_words,
-    next_at_or_after_words,
-    rotating_argmin_words,
-    unpack_rows,
-    unpack_rows_words,
-)
+from repro.fastpath.bitops import derive_cols, unpack_rows
 from repro.fastpath.kernel import BitmaskKernelMixin
 from repro.types import NO_GRANT
 
@@ -68,8 +61,6 @@ class FastLCFDistributed(BitmaskKernelMixin, LCFDistributed):
             np.array(self._grant_ptr, dtype=np.int64),
             np.array(self._accept_ptr, dtype=np.int64),
         )
-
-    # -- single-word kernel (n <= 64) ----------------------------------
 
     def schedule_masks(
         self, rows: list[int], cols: list[int] | None = None
@@ -224,152 +215,6 @@ class FastLCFDistributed(BitmaskKernelMixin, LCFDistributed):
             np.array(ngt, dtype=np.int64),
         )
 
-    # -- multi-word kernel (n > 64) ------------------------------------
-
-    def schedule_words(
-        self, rows: list[list[int]], cols: list[list[int]] | None = None
-    ) -> list[int]:
-        """Multi-word twin of :meth:`schedule_masks` (word tuples per
-        row/column; neither outer list nor any word tuple is mutated)."""
-        n = self.n
-        if cols is None:
-            cols = derive_cols_words(rows, n)
-        schedule = [NO_GRANT] * n
-        if self.record_trace:
-            self.last_trace = []
-        in_free = full_words(n)
-        out_free = full_words(n)
-        self._pre_words(rows, schedule, in_free, out_free)
-        for _ in range(self.iterations):
-            if not self._iterate_words(rows, cols, schedule, in_free, out_free):
-                break
-        self._cycle_done()
-        return schedule
-
-    def _pre_words(
-        self,
-        rows: list[list[int]],
-        schedule: list[int],
-        in_free: list[int],
-        out_free: list[int],
-    ) -> None:
-        """Hook for the round-robin overlay (mutates the free masks)."""
-
-    def _iterate_words(
-        self,
-        rows: list[list[int]],
-        cols: list[list[int]],
-        schedule: list[int],
-        in_free: list[int],
-        out_free: list[int],
-    ) -> bool:
-        n = self.n
-        words = len(in_free)
-
-        # Request step, plus nrq-value buckets for the grant scan: every
-        # output needs the minimum nrq over its candidate mask, so group
-        # the live inputs by nrq value once and let each output walk the
-        # values in ascending order — one word-AND per bucket probed
-        # instead of one key lookup per candidate bit. Equivalent to
-        # ``rotating_argmin``'s composite key (value first, chain second).
-        nrq = [0] * n
-        buckets: dict[int, list[int]] = {}
-        for w in range(words):
-            remaining = in_free[w]
-            base = w << 6
-            while remaining:
-                low = remaining & -remaining
-                remaining ^= low
-                i = base + low.bit_length() - 1
-                row = rows[i]
-                count = sum(
-                    (row[k] & out_free[k]).bit_count() for k in range(words)
-                )
-                nrq[i] = count
-                if count:
-                    bucket = buckets.get(count)
-                    if bucket is None:
-                        bucket = buckets[count] = [0] * words
-                    bucket[w] |= low
-        values = sorted(buckets)
-
-        grant_ptr = self._grant_ptr
-        record = self.record_trace
-        trace_grants = [] if record else None
-        offers: list[list[int] | None] = [None] * n
-        ngt = [0] * n
-        granted = [0] * words
-        for jw in range(words):
-            remaining = out_free[jw]
-            while remaining:
-                out_low = remaining & -remaining
-                remaining ^= out_low
-                j = (jw << 6) + out_low.bit_length() - 1
-                col = cols[j]
-                cand = [col[k] & in_free[k] for k in range(words)]
-                received = sum(map(int.bit_count, cand))
-                if not received:
-                    continue
-                ngt[j] = received
-                for value in values:
-                    bucket = buckets[value]
-                    tied = [cand[k] & bucket[k] for k in range(words)]
-                    if any(tied):
-                        winner = next_at_or_after_words(tied, grant_ptr[j], n)
-                        break
-                offer = offers[winner]
-                if offer is None:
-                    offer = offers[winner] = [0] * words
-                offer[jw] |= out_low
-                granted[winner >> 6] |= 1 << (winner & 63)
-                if trace_grants is not None:
-                    trace_grants.append((winner, j))
-
-        trace = self._make_trace_words(
-            rows, in_free, out_free, nrq, ngt, trace_grants
-        ) if record else None
-
-        accept_ptr = self._accept_ptr
-        made = False
-        for iw in range(words):
-            remaining = granted[iw]
-            while remaining:
-                in_low = remaining & -remaining
-                remaining ^= in_low
-                i = (iw << 6) + in_low.bit_length() - 1
-                j = rotating_argmin_words(ngt, offers[i], accept_ptr[i], n)
-                schedule[i] = j
-                in_free[iw] &= ~in_low
-                out_free[j >> 6] &= ~(1 << (j & 63))
-                made = True
-                grant_ptr[j] = i + 1 if i + 1 < n else 0
-                accept_ptr[i] = j + 1 if j + 1 < n else 0
-                if trace is not None:
-                    trace.accepts.append((i, j))
-        if trace is not None:
-            self.last_trace.append(trace)
-        return made
-
-    def _make_trace_words(self, rows, in_free, out_free, nrq, ngt, grant_pairs):
-        n = self.n
-        words = len(in_free)
-        zero = [0] * words
-        live_rows = [
-            [rows[i][k] & out_free[k] for k in range(words)]
-            if in_free[i >> 6] >> (i & 63) & 1
-            else zero
-            for i in range(n)
-        ]
-        grants = np.zeros((n, n), dtype=bool)
-        for i, j in grant_pairs:
-            grants[i, j] = True
-        return IterationTrace(
-            unpack_rows_words(live_rows, n),
-            np.array(nrq, dtype=np.int64),
-            grants,
-            np.array(ngt, dtype=np.int64),
-        )
-
 
 class FastLCFDistributedRR(FastLCFDistributed, LCFDistributedRR):
     """Bitset twin of :class:`repro.core.lcf_dist.LCFDistributedRR`.
@@ -394,13 +239,6 @@ class FastLCFDistributedRR(FastLCFDistributed, LCFDistributedRR):
             in_free &= ~(1 << i)
             out_free &= ~(1 << j)
         return in_free, out_free
-
-    def _pre_words(self, rows, schedule, in_free, out_free):
-        i, j = self._rr_i, self._rr_j
-        if rows[i][j >> 6] >> (j & 63) & 1:
-            schedule[i] = j
-            in_free[i >> 6] &= ~(1 << (i & 63))
-            out_free[j >> 6] &= ~(1 << (j & 63))
 
     def _cycle_done(self) -> None:
         self._rr_i = (self._rr_i + 1) % self.n

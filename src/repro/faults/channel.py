@@ -44,7 +44,6 @@ import numpy as np
 from repro.core.base import IterativeScheduler, Scheduler, rotating_argmin
 from repro.core.lcf_dist import IterationTrace, LCFDistributed, LCFDistributedRR
 from repro.fastpath.bitops import derive_cols, unpack_rows
-from repro.fastpath.kernel import BitmaskKernelMixin
 from repro.fastpath.lcf_dist import FastLCFDistributed, FastLCFDistributedRR
 from repro.core.lcf_dist_agents import (
     AcceptMsg,
@@ -210,12 +209,6 @@ class _FastLossyChannelMixin:
         self._cycle += 1
         self._iteration = 0
         return super().schedule_masks(rows, cols)
-
-    # Multi-word entry: join the word tuples and run the single-word
-    # lossy iteration on big Python ints (correct at any width; the
-    # lossy channel is modelled per message, so there is no word-tuned
-    # variant — n > 64 lossy runs are rare and still beat numpy).
-    schedule_words = BitmaskKernelMixin.schedule_words
 
     def _iterate_masks(
         self,

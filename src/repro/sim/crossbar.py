@@ -206,9 +206,8 @@ class InputQueuedSwitch:
         The kernel probe is type-level on purpose: wrappers like
         RequestLossFilter forward unknown attributes to their inner
         scheduler, and a forwarded ``schedule_masks`` would bypass the
-        wrapper's own filtering. Beyond 64 ports the VOQ masks are word
-        tuples, so the probe requires the multi-word entry point
-        (``schedule_words``) instead.
+        wrapper's own filtering. The VOQ masks are Python ints at every
+        width, so ``schedule_masks`` is the one entry point probed.
         """
         if self.tracer is not None:
             return "tracer attached"
@@ -224,9 +223,8 @@ class InputQueuedSwitch:
             return "admission"
         if getattr(self.scheduler, "weight_kind", None) is not None:
             return "weight scheduler"
-        entry = "schedule_masks" if self.voqs.row_words is None else "schedule_words"
-        if not callable(getattr(type(self.scheduler), entry, None)):
-            return f"no {entry} on {type(self.scheduler).__name__}"
+        if not callable(getattr(type(self.scheduler), "schedule_masks", None)):
+            return f"no schedule_masks on {type(self.scheduler).__name__}"
         return None
 
     def reset_run(self, scheduler: Scheduler | None = None) -> None:
@@ -458,12 +456,12 @@ class InputQueuedSwitch:
 
         Same four stages in the same order as :meth:`step`, but the
         scheduler is fed the incrementally-maintained request bitmasks
-        (``VOQSet.row_masks`` / ``col_masks``, or the word tuples beyond
-        64 ports) and all bookkeeping stays in plain Python ints. With a
-        metrics registry each slot keeps only cheap tallies — the grant
-        count, the decision trace, the pending RR override — and the
-        counters, forward buffers and live estimators are flushed at the
-        end of the block, the only place exporters and checkpoints look.
+        (``VOQSet.row_masks`` / ``col_masks``) and all bookkeeping stays
+        in plain Python ints. With a metrics registry each slot keeps
+        only cheap tallies — the grant count, the decision trace, the
+        pending RR override — and the counters, forward buffers and live
+        estimators are flushed at the end of the block, the only place
+        exporters and checkpoints look.
         """
         measuring = self.measuring
         pqs = self.pqs
@@ -472,12 +470,8 @@ class InputQueuedSwitch:
         voq_push = voqs.push
         voq_pop = voqs.pop
         scheduler = self.scheduler
-        if voqs.row_words is None:
-            kernel = scheduler.schedule_masks
-            rows, cols = voqs.row_masks, voqs.col_masks
-        else:
-            kernel = scheduler.schedule_words
-            rows, cols = voqs.row_words, voqs.col_words
+        kernel = scheduler.schedule_masks
+        rows, cols = voqs.row_masks, voqs.col_masks
         latency_add = self.latency.add
         samples = self.latency_samples
         service = self.service if measuring else None
@@ -486,7 +480,6 @@ class InputQueuedSwitch:
         metered = self.metrics is not None
         forwards = delays = None
         if metered:
-            requests = voqs.row_masks
             has_rr = hasattr(scheduler, "rr_position")
             observe_matching = self._m_matching.observe
             dropped_before = self.dropped
@@ -516,7 +509,7 @@ class InputQueuedSwitch:
                 pending_rr = None
                 if has_rr:
                     rr_i, rr_j = scheduler.rr_position
-                    if requests[rr_i] >> rr_j & 1:
+                    if rows[rr_i] >> rr_j & 1:
                         pending_rr = (rr_i, rr_j)
             grants = kernel(rows, cols)
 

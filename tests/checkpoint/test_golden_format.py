@@ -74,3 +74,34 @@ def test_divergence_reports_diff(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(tool, "REPO_ROOT", tmp_path)
     assert tool.main([]) == 1
     assert "DIVERGED" in capsys.readouterr().err
+
+
+def test_legacy_word_tuple_keys_resume_harmlessly(tmp_path):
+    # Files written while VOQSet kept 64-bit word-tuple twins of its
+    # masks (``row_words``/``col_words``) carry those keys; restoring
+    # sets them as inert attributes, so the format version is unchanged
+    # and such a file resumes to the straight run's exact result.
+    from repro.checkpoint import load_checkpoint, resume_simulation, save_checkpoint
+    from repro.sim.config import SimConfig
+    from repro.sim.simulator import run_simulation
+
+    config = SimConfig(n_ports=65, warmup_slots=10, measure_slots=60, seed=5)
+    straight = run_simulation(config, "lcf_dist_rr", 0.9, fast=True)
+    ckpt = tmp_path / "run.ckpt"
+    run_simulation(
+        config, "lcf_dist_rr", 0.9, fast=True, checkpoint_path=ckpt, stop_at_slot=35
+    )
+
+    payload = load_checkpoint(ckpt)
+    voqs = payload["state"]["switch"]["voqs"]["state"]
+    assert "row_words" not in voqs and "col_words" not in voqs
+
+    def words(mask):
+        return [mask >> 64 * w & (1 << 64) - 1 for w in range(2)]
+
+    assert any(voqs["row_masks"]), "the cut must leave live requests"
+    voqs["row_words"] = [words(mask) for mask in voqs["row_masks"]]
+    voqs["col_words"] = [words(mask) for mask in voqs["col_masks"]]
+    save_checkpoint(ckpt, payload)
+
+    assert resume_simulation(ckpt).row() == straight.row()

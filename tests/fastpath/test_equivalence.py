@@ -182,7 +182,7 @@ class TestKernelEquivalence:
 
 
 class TestWordBoundaryEquivalence:
-    """The multi-word dispatch must be seamless across the 64-bit edge:
+    """The Python-int masks must be seamless across the 64-bit edge:
     one bit below, exactly at, one bit above, and two full words."""
 
     @pytest.mark.parametrize("name", FAST_NAMES)

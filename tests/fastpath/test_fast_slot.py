@@ -38,10 +38,17 @@ class TestEngagement:
         assert not switch._fast_slot
         assert switch.fast_slot_blocker == "no schedule_masks on LCFCentralRR"
 
-    def test_wide_switch_probes_the_multi_word_entry(self):
+    def test_wide_switch_probes_the_same_mask_entry(self):
+        # One mask layout at every width: beyond one machine word the
+        # probe still asks for schedule_masks, and every fast kernel
+        # has it.
         config = CONFIG.with_(n_ports=65)
         switch = InputQueuedSwitch(config, make_scheduler("islip", 65))
-        assert switch.fast_slot_blocker == "no schedule_words on ISLIP"
+        assert switch.fast_slot_blocker == "no schedule_masks on ISLIP"
+        for n in (65, 128):
+            for name in fast_schedulers():
+                switch = build_switch(CONFIG.with_(n_ports=n), name, fast=True)
+                assert switch.fast_slot_blocker is None, (name, n)
 
     def test_instrumentation_disables_the_fast_loop(self):
         switch = InputQueuedSwitch(

@@ -6,8 +6,8 @@ forward buffers and live estimators once per block. The contract is
 byte-identity with the general loop: every instrument of
 ``registry.snapshot()`` and every ``SimResult`` field must match a
 ``fast=False`` run with the same registry wiring — for every bitset
-kernel, at single-word and multi-word widths, through a loss filter,
-and across a checkpoint/resume cut.
+kernel, at widths within one machine word and beyond, through a loss
+filter, and across a checkpoint/resume cut.
 """
 
 import json
@@ -26,12 +26,14 @@ from repro.sim.crossbar import InputQueuedSwitch
 from repro.sim.simulator import build_switch, run_simulation
 from repro.traffic.bernoulli import BernoulliUniform
 
-#: Windows per width: the n=65 points exercise the word-tuple masks,
-#: where the reference loop is slow, so they run shorter.
+#: Windows per width: the n=65 and n=128 points run the kernels on
+#: masks wider than one machine word, where the reference loop is slow,
+#: so they run shorter.
 CONFIGS = {
     4: SimConfig(n_ports=4, warmup_slots=20, measure_slots=200, seed=11),
     16: SimConfig(n_ports=16, warmup_slots=20, measure_slots=130, seed=12),
     65: SimConfig(n_ports=65, warmup_slots=10, measure_slots=120, seed=13),
+    128: SimConfig(n_ports=128, warmup_slots=10, measure_slots=60, seed=14),
 }
 
 
