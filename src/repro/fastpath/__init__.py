@@ -43,6 +43,7 @@ from repro.fastpath.registry import (
     has_fast_kernel,
     make_fast_scheduler,
 )
+from repro.fastpath.wavefront import FastWrappedWaveFront
 
 __all__ = [
     "FAST_SCHEDULER_NAMES",
@@ -53,6 +54,7 @@ __all__ = [
     "FastLCFDistributed",
     "FastLCFDistributedRR",
     "FastPIM",
+    "FastWrappedWaveFront",
     "WORD_BITS",
     "derive_cols",
     "fast_schedulers",

@@ -1,10 +1,13 @@
 """Fastpath scheduler registry.
 
 Mirrors :mod:`repro.baselines.registry` for the names that have a
-bitset kernel; :func:`make_fast_scheduler` is the ``fast=True``
-counterpart of :func:`~repro.baselines.registry.make_scheduler` and
-falls back to the reference implementation for every other name, so
-callers can request the fast layer unconditionally.
+bitset kernel — the central and distributed LCF families, ``islip``,
+``pim`` and ``wfront``, i.e. every crossbar scheduler of the Figure 12
+sweep. :func:`make_fast_scheduler` is the ``fast=True`` counterpart of
+:func:`~repro.baselines.registry.make_scheduler` and falls back to the
+reference implementation for every other name (``lqf``, ``ocf``,
+``greedy``, ``random``, ...), so callers can request the fast layer
+unconditionally.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from repro.fastpath.islip import FastISLIP
 from repro.fastpath.lcf import FastLCFCentral, FastLCFCentralRR
 from repro.fastpath.lcf_dist import FastLCFDistributed, FastLCFDistributedRR
 from repro.fastpath.pim import FastPIM
+from repro.fastpath.wavefront import FastWrappedWaveFront
 
 _FAST_FACTORIES: dict[str, Callable[..., Scheduler]] = {
     "lcf_central": lambda n, **kw: FastLCFCentral(n),
@@ -27,6 +31,7 @@ _FAST_FACTORIES: dict[str, Callable[..., Scheduler]] = {
     ),
     "islip": lambda n, iterations=4, **kw: FastISLIP(n, iterations),
     "pim": lambda n, iterations=4, seed=0, **kw: FastPIM(n, iterations, seed),
+    "wfront": lambda n, **kw: FastWrappedWaveFront(n),
 }
 
 #: Registry names with a bitset kernel (everything else falls back).

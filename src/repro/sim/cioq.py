@@ -20,8 +20,13 @@ import numpy as np
 from repro.core.base import Scheduler
 from repro.sim.config import SimConfig
 from repro.sim.metrics import OnlineStats
-from repro.sim.queues import OutputQueue, PacketQueue, VOQSet
-from repro.traffic.base import NO_ARRIVAL
+from repro.sim.queues import (
+    OutputQueue,
+    PacketQueue,
+    VOQSet,
+    enqueue_arrivals,
+    inject_heads,
+)
 from repro.types import NO_GRANT
 
 
@@ -67,20 +72,12 @@ class CIOQSwitch:
 
     def step(self, slot: int, arrivals: np.ndarray) -> None:
         n = self.n
-        # 1. Generation into PQs (external link rate: one per slot).
-        for i in range(n):
-            dst = arrivals[i]
-            if dst != NO_ARRIVAL:
-                if self.measuring:
-                    self.offered += 1
-                self.pqs[i].push(int(dst), slot)
-
-        # 2. Injection (external link rate).
-        for i, pq in enumerate(self.pqs):
-            head = pq.head()
-            if head is not None and self.voqs.has_space(i, head[0]):
-                dst, t_generated = pq.pop()
-                self.voqs.push(i, dst, t_generated)
+        # 1. Generation into PQs and 2. injection, both at the external
+        #    link rate (one packet per input per slot).
+        arrived = enqueue_arrivals(self.pqs, arrivals.tolist(), slot)
+        if self.measuring:
+            self.offered += arrived
+        inject_heads(self.pqs, self.voqs)
 
         # 3. Fabric phases: s scheduling + transfer rounds per slot,
         #    inputs and outputs each moving at s packets/slot internally.

@@ -59,7 +59,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer, effective_tracer
 from repro.sim.config import SimConfig
 from repro.sim.metrics import OnlineStats, ServiceMatrix
-from repro.sim.queues import PacketQueue, VOQSet
+from repro.sim.queues import PacketQueue, VOQSet, enqueue_arrivals, inject_heads
 from repro.traffic.base import NO_ARRIVAL
 from repro.types import NO_GRANT
 
@@ -456,8 +456,12 @@ class InputQueuedSwitch:
 
         Same four stages in the same order as :meth:`step`, but the
         scheduler is fed the incrementally-maintained request bitmasks
-        (``VOQSet.row_masks`` / ``col_masks``) and all bookkeeping stays
-        in plain Python ints. With a metrics registry each slot keeps
+        (``VOQSet.row_masks`` / ``col_masks``), the queue stages are one
+        slot-level operation each (:func:`~repro.sim.queues.
+        enqueue_arrivals`, :func:`~repro.sim.queues.inject_heads`,
+        :meth:`~repro.sim.queues.VOQSet.pop_granted`) instead of
+        per-packet method calls, and all bookkeeping stays in plain
+        Python ints. With a metrics registry each slot keeps
         only cheap tallies — the grant count, the decision trace, the
         pending RR override — and the counters, forward buffers and live
         estimators are flushed at the end of the block, the only place
@@ -466,9 +470,7 @@ class InputQueuedSwitch:
         measuring = self.measuring
         pqs = self.pqs
         voqs = self.voqs
-        has_space = voqs.has_space
-        voq_push = voqs.push
-        voq_pop = voqs.pop
+        pop_granted = voqs.pop_granted
         scheduler = self.scheduler
         kernel = scheduler.schedule_masks
         rows, cols = voqs.row_masks, voqs.col_masks
@@ -478,7 +480,6 @@ class InputQueuedSwitch:
         arrived = departed = 0
 
         metered = self.metrics is not None
-        forwards = delays = None
         if metered:
             has_rr = hasattr(scheduler, "rr_position")
             observe_matching = self._m_matching.observe
@@ -488,23 +489,15 @@ class InputQueuedSwitch:
 
         slot = first_slot
         for arrivals in arrivals_block:
-            # 1. Generation into PQs.
-            for i, dst in enumerate(arrivals.tolist()):
-                if dst != NO_ARRIVAL:
-                    arrived += 1
-                    pqs[i].push(dst, slot)
-
-            # 2. Injection: one packet per input link per slot.
-            for i, pq in enumerate(pqs):
-                head = pq.head()
-                if head is not None and has_space(i, head[0]):
-                    dst, t_generated = pq.pop()
-                    voq_push(i, dst, t_generated)
+            # 1. Generation into PQs; 2. injection, one packet per input
+            #    link per slot — each one slot-level queue operation.
+            arrived += enqueue_arrivals(pqs, arrivals.tolist(), slot)
+            inject_heads(pqs, voqs)
 
             # 3. Scheduling straight off the maintained bitmasks (the
-            #    kernel only reads them; forwarding updates them via
-            #    pop). The distributed RR overlay pre-matches its
-            #    position before the iterations run, so note it first.
+            #    kernel only reads them; forwarding updates them). The
+            #    distributed RR overlay pre-matches its position before
+            #    the iterations run, so note it first.
             if metered:
                 pending_rr = None
                 if has_rr:
@@ -514,22 +507,22 @@ class InputQueuedSwitch:
             grants = kernel(rows, cols)
 
             # 4. Forwarding.
-            for i, j in enumerate(grants):
-                if j == NO_GRANT:
-                    continue
-                delay = slot - voq_pop(i, j) + 1
-                departed += 1
-                if measuring:
+            stamps = pop_granted(grants)
+            departed += len(stamps)
+            if measuring:
+                for t_generated in stamps:
+                    delay = slot - t_generated + 1
                     latency_add(delay)
                     if samples is not None:
                         samples.append(delay)
-                if forwards is not None:
-                    forwards.append((i, j, slot))
-                    delays.append(delay)
             if service is not None:
                 service.record(np.array(grants, dtype=np.int64))
             if metered:
-                observe_matching(len(grants) - grants.count(NO_GRANT))
+                forwards.extend(
+                    (i, j, slot) for i, j in enumerate(grants) if j != NO_GRANT
+                )
+                delays.extend(slot - t_generated + 1 for t_generated in stamps)
+                observe_matching(len(stamps))
                 overrides += self._translate_trace(slot, pending_rr)
             slot += 1
 

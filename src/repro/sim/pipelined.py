@@ -27,8 +27,7 @@ import numpy as np
 from repro.core.base import Scheduler
 from repro.sim.config import SimConfig
 from repro.sim.metrics import OnlineStats
-from repro.sim.queues import PacketQueue, VOQSet
-from repro.traffic.base import NO_ARRIVAL
+from repro.sim.queues import PacketQueue, VOQSet, enqueue_arrivals, inject_heads
 from repro.types import NO_GRANT
 
 
@@ -75,20 +74,12 @@ class PipelinedSwitch:
 
     def step(self, slot: int, arrivals: np.ndarray) -> np.ndarray:
         n = self.n
-        # 1. Generation into PQs.
-        for i in range(n):
-            dst = arrivals[i]
-            if dst != NO_ARRIVAL:
-                if self.measuring:
-                    self.offered += 1
-                self.pqs[i].push(int(dst), slot)
-
-        # 2. Injection (one per input link per slot).
-        for i, pq in enumerate(self.pqs):
-            head = pq.head()
-            if head is not None and self.voqs.has_space(i, head[0]):
-                dst, t_generated = pq.pop()
-                self.voqs.push(i, dst, t_generated)
+        # 1. Generation into PQs and 2. injection (one per input link
+        #    per slot).
+        arrived = enqueue_arrivals(self.pqs, arrivals.tolist(), slot)
+        if self.measuring:
+            self.offered += arrived
+        inject_heads(self.pqs, self.voqs)
 
         # 3. Launch a new schedule into the pipeline, computed on the
         #    *schedulable* occupancy (queued minus already reserved).

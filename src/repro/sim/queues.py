@@ -2,8 +2,21 @@
 
 For speed the queues store bare generation timestamps (ints) — latency
 is all the statistics need — with destinations implied by queue identity
-(VOQs) or stored alongside (PQ, FIFO). Occupancy counters are maintained
-incrementally so the request matrix is O(n^2) to read, not O(packets).
+(VOQs) or stored alongside (PQ, FIFO). Occupancy counters and request
+bitmasks are maintained incrementally so the request matrix is O(n^2)
+to read, not O(packets).
+
+Two granularities of the same operations: the per-packet methods
+(``PacketQueue.push/head/pop``, ``VOQSet.has_space/push/pop``) serve
+callers that hook individual packets — the crossbar's general
+``step()`` (tracer events, down inputs, admission) and the multi-stage
+fabric. The slot-level operations (:func:`enqueue_arrivals`,
+:func:`inject_heads`, :meth:`VOQSet.pop_granted`) run one whole stage
+of one slot in a single call, straight on the deques, the occupancy
+matrix and the request masks, for the slot loops that need no
+per-packet hook (the crossbar's fast block loop, the CIOQ and
+pipelined switches). Both keep the same state: drop counters, the VOQ
+capacity check, occupancy and masks end every slot identically.
 """
 
 from __future__ import annotations
@@ -11,6 +24,9 @@ from __future__ import annotations
 from collections import deque
 
 import numpy as np
+
+from repro.traffic.base import NO_ARRIVAL
+from repro.types import NO_GRANT
 
 
 class PacketQueue:
@@ -72,6 +88,9 @@ class VOQSet:
         self._queues: list[list[deque[int]]] = [
             [deque() for _ in range(n)] for _ in range(n)
         ]
+        #: Per-VOQ packet counts, always ``len`` of the matching deque
+        #: (written as that length: a Python-int store into the array is
+        #: far cheaper than a numpy scalar increment).
         self._occupancy = np.zeros((n, n), dtype=np.int64)
         #: Per-input request bitmasks (bit j set iff VOQ (i, j) is
         #: non-empty) and the per-output transpose — maintained on every
@@ -98,20 +117,40 @@ class VOQSet:
         if len(queue) >= self.capacity:
             raise OverflowError(f"VOQ[{i}][{j}] is full (capacity {self.capacity})")
         queue.append(t_generated)
-        self._occupancy[i, j] += 1
+        self._occupancy[i, j] = len(queue)
         if len(queue) == 1:
             self.row_masks[i] |= 1 << j
             self.col_masks[j] |= 1 << i
 
     def pop(self, i: int, j: int) -> int:
         """Dequeue the head packet of VOQ (i, j); returns its timestamp."""
-        self._occupancy[i, j] -= 1
         queue = self._queues[i][j]
         t_generated = queue.popleft()
+        self._occupancy[i, j] = len(queue)
         if not queue:
             self.row_masks[i] &= ~(1 << j)
             self.col_masks[j] &= ~(1 << i)
         return t_generated
+
+    def pop_granted(self, grants: list[int]) -> list[int]:
+        """Forwarding for one slot: pop the head of VOQ ``(i, grants[i])``
+        for every granted input ``i`` (skipping ``NO_GRANT``); returns
+        the popped timestamps in input order. Same effect as one
+        :meth:`pop` per grant."""
+        queues = self._queues
+        occupancy = self._occupancy
+        rows, cols = self.row_masks, self.col_masks
+        stamps = []
+        for i, j in enumerate(grants):
+            if j == NO_GRANT:
+                continue
+            queue = queues[i][j]
+            stamps.append(queue.popleft())
+            occupancy[i, j] = len(queue)
+            if not queue:
+                rows[i] &= ~(1 << j)
+                cols[j] &= ~(1 << i)
+        return stamps
 
     def clear(self) -> None:
         """Empty every VOQ and reset the occupancy counters and request
@@ -140,6 +179,48 @@ class VOQSet:
                 if row[j]:
                     heads[i, j] = row[j][0]
         return heads
+
+
+def enqueue_arrivals(pqs: list[PacketQueue], arrivals: list[int], slot: int) -> int:
+    """Generation for one slot: ``arrivals[i]`` (a destination or
+    ``NO_ARRIVAL``) enters PQ ``i`` stamped ``slot``; a full PQ drops it
+    and counts the drop. Returns the number of arrivals. Same effect as
+    one :meth:`PacketQueue.push` per arrival."""
+    arrived = 0
+    for i, dst in enumerate(arrivals):
+        if dst != NO_ARRIVAL:
+            arrived += 1
+            pq = pqs[i]
+            queue = pq._queue
+            if len(queue) < pq.capacity:
+                queue.append((dst, slot))
+            else:
+                pq.dropped += 1
+    return arrived
+
+
+def inject_heads(pqs: list[PacketQueue], voqs: VOQSet) -> None:
+    """Injection for one slot: each input link moves its PQ head into
+    its VOQ unless that VOQ is full (the head then blocks its PQ). Same
+    effect as the per-packet ``head`` / ``has_space`` / ``pop`` /
+    ``push`` sequence over every input."""
+    queues = voqs._queues
+    occupancy = voqs._occupancy
+    rows, cols = voqs.row_masks, voqs.col_masks
+    capacity = voqs.capacity
+    for i, pq in enumerate(pqs):
+        pending = pq._queue
+        if not pending:
+            continue
+        dst, t_generated = pending[0]
+        queue = queues[i][dst]
+        if len(queue) < capacity:
+            pending.popleft()
+            queue.append(t_generated)
+            occupancy[i, dst] = len(queue)
+            if len(queue) == 1:
+                rows[i] |= 1 << dst
+                cols[dst] |= 1 << i
 
 
 class OutputQueue:

@@ -17,7 +17,8 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.checkpoint import load_checkpoint, resume_simulation
+from repro.checkpoint import load_checkpoint, resume_simulation, save_checkpoint
+from repro.checkpoint.format import CHECKPOINT_VERSION
 from repro.fastpath.registry import fast_schedulers, has_fast_kernel
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import RingTracer
@@ -86,6 +87,39 @@ class TestRoundtripFastTier:
         _assert_resume_identical(
             _config(seed=4), scheduler, 55, tmp_path, fast=True
         )
+
+    def test_reference_wavefront_resumes_on_its_fast_twin(
+        self, tmp_path, monkeypatch
+    ):
+        # WrappedWaveFront and FastWrappedWaveFront hold the same state
+        # (the starting diagonal ``_offset``), so a reference checkpoint
+        # resumed with ``fast`` switched on continues on the bitset
+        # kernel and the fast slot loop, to the straight run's result.
+        from repro.fastpath.wavefront import FastWrappedWaveFront
+
+        config = _config(seed=12)
+        straight = run_simulation(config, "wfront", 0.8)
+        ckpt = tmp_path / "run.ckpt"
+        run_simulation(config, "wfront", 0.8, checkpoint_path=ckpt, stop_at_slot=55)
+        payload = load_checkpoint(ckpt)
+        scheduler_state = payload["state"]["switch"]["scheduler"]
+        assert scheduler_state["cls"] == "WrappedWaveFront"
+        assert scheduler_state["state"]["_offset"] == 55 % config.n_ports
+        payload["run"]["fast"] = True
+        save_checkpoint(ckpt, payload)
+        assert json.loads(ckpt.read_text())["version"] == CHECKPOINT_VERSION == 1
+
+        kernel = FastWrappedWaveFront.schedule_masks
+        calls = []
+
+        def counted(self, rows, cols=None):
+            calls.append(self._offset)
+            return kernel(self, rows, cols)
+
+        monkeypatch.setattr(FastWrappedWaveFront, "schedule_masks", counted)
+        assert resume_simulation(ckpt).row() == straight.row()
+        assert len(calls) == config.total_slots - 55
+        assert calls[0] == 55 % config.n_ports
 
     @pytest.mark.parametrize("name", ["fifo", "outbuf"])
     def test_dedicated_switch_models(self, name, tmp_path):

@@ -2,8 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.sim.queues import OutputQueue, PacketQueue, VOQSet
+from repro.sim.config import SimConfig
+from repro.sim.queues import (
+    OutputQueue,
+    PacketQueue,
+    VOQSet,
+    enqueue_arrivals,
+    inject_heads,
+)
+from repro.sim.simulator import run_simulation
+from repro.traffic.base import NO_ARRIVAL
+from repro.types import NO_GRANT
 
 
 class TestPacketQueue:
@@ -137,6 +149,88 @@ class TestVOQMasks:
         assert (voqs.row_masks[0], voqs.col_masks[64]) == first
         voqs.pop(0, 64)  # 1 -> 0: clears
         assert voqs.row_masks[0] == 0 and voqs.col_masks[64] == 0
+
+
+class TestSlotLevelOperations:
+    """The slot-level generation / injection / forwarding operations
+    must leave exactly the state the per-packet method sequence leaves:
+    PQ contents and drop counters, VOQ deques, occupancy and masks."""
+
+    @staticmethod
+    def per_packet_generation(pqs, arrivals, slot):
+        for i, dst in enumerate(arrivals):
+            if dst != NO_ARRIVAL:
+                pqs[i].push(dst, slot)
+
+    @staticmethod
+    def per_packet_injection(pqs, voqs):
+        for i, pq in enumerate(pqs):
+            head = pq.head()
+            if head is not None and voqs.has_space(i, head[0]):
+                dst, t_generated = pq.pop()
+                voqs.push(i, dst, t_generated)
+
+    @staticmethod
+    def state(pqs, voqs):
+        return (
+            [list(pq._queue) for pq in pqs],
+            [pq.dropped for pq in pqs],
+            [[list(queue) for queue in row] for row in voqs._queues],
+            voqs.occupancy.tolist(),
+            list(voqs.row_masks),
+            list(voqs.col_masks),
+        )
+
+    @given(
+        n=st.sampled_from([4, 65]),
+        pq_capacity=st.integers(1, 3),
+        voq_capacity=st.integers(1, 2),
+        load=st.floats(0.0, 1.0),
+        slots=st.integers(1, 30),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_match_the_per_packet_sequence(
+        self, n, pq_capacity, voq_capacity, load, slots, seed
+    ):
+        rng = np.random.default_rng(seed)
+        pqs_a = [PacketQueue(pq_capacity) for _ in range(n)]
+        pqs_b = [PacketQueue(pq_capacity) for _ in range(n)]
+        voqs_a, voqs_b = VOQSet(n, voq_capacity), VOQSet(n, voq_capacity)
+        for slot in range(slots):
+            # A skewed destination draw so VOQs fill and PQ heads block.
+            dst = rng.integers(0, min(n, 3), size=n)
+            arrivals = np.where(rng.random(n) < load, dst, NO_ARRIVAL).tolist()
+            self.per_packet_generation(pqs_a, arrivals, slot)
+            assert enqueue_arrivals(pqs_b, arrivals, slot) == sum(
+                d != NO_ARRIVAL for d in arrivals
+            )
+            self.per_packet_injection(pqs_a, voqs_a)
+            inject_heads(pqs_b, voqs_b)
+            assert self.state(pqs_a, voqs_a) == self.state(pqs_b, voqs_b)
+
+            # Forward a random partial matching over the occupied VOQs.
+            outputs = rng.permutation(n).tolist()
+            grants = [
+                j if voqs_a.occupancy[i, j] and rng.random() < 0.7 else NO_GRANT
+                for i, j in enumerate(outputs)
+            ]
+            expected = [
+                voqs_a.pop(i, j) for i, j in enumerate(grants) if j != NO_GRANT
+            ]
+            assert voqs_b.pop_granted(grants) == expected
+            assert self.state(pqs_a, voqs_a) == self.state(pqs_b, voqs_b)
+
+    @pytest.mark.parametrize("scheduler", ["wfront", "lcf_central_rr"])
+    def test_tiny_queues_run_identically_on_the_fast_loop(self, scheduler):
+        config = SimConfig(
+            n_ports=8, warmup_slots=20, measure_slots=200,
+            pq_capacity=2, voq_capacity=1, seed=4,
+        )
+        reference = run_simulation(config, scheduler, 0.95)
+        fast = run_simulation(config, scheduler, 0.95, fast=True)
+        assert reference.dropped > 0
+        assert fast.row() == reference.row()
 
 
 class TestOutputQueue:

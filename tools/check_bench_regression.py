@@ -38,9 +38,12 @@ from repro.fastpath.bench import (  # noqa: E402
 
 #: Absolute speedup floors the repo commits to (``name:n:floor``).
 #: The columnar floor is the replicate-batching acceptance bar: the
-#: engine must hold >= 3x over R=32 fast serial runs at 64 ports.
+#: engine must hold >= 3x over R=32 fast serial runs at 64 ports. The
+#: wavefront twin measured 4.4-5.2x at 16 ports (three full runs on a
+#: shared 2-core x86-64 host); its floor leaves room for that spread.
 DEFAULT_FLOORS = (
     "lcf_central_rr:16:3.0",
+    "wfront:16:3.0",
     "columnar_lcf_central_rr_r32:64:3.0",
 )
 
