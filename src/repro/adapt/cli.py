@@ -25,25 +25,21 @@ Examples::
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from dataclasses import replace
 
+from repro import cli
 from repro.adapt.adapter import AdaptiveLCF, ObliviousAdapter
 from repro.adapt.config import AdaptConfig
-from repro.baselines.registry import SPECIAL_SWITCH_NAMES, available_schedulers
-from repro.faults.cli import (
-    _build_plan,
-    _parse_grid,
-    _parse_link_down,
-    _parse_port_down,
-    validate_common_args,
-)
 from repro.faults.harness import DEFAULT_AVAILABILITY_GRID, run_adaptive_sweep
-from repro.ioutil import atomic_write_text
+from repro.faults.plan import FaultPlan
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracer import JsonlTracer, RingTracer
 from repro.sim.config import SimConfig
 from repro.sim.simulator import run_simulation
+
+#: Availability a single run degrades to when no fault flag is given —
+#: something must fail, or there is nothing to react to.
+DEFAULT_AVAILABILITY = 0.9
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -52,30 +48,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Fault-reactive scheduling runs and reactive-vs-oblivious "
         "degradation curves (LCF reproduction).",
     )
-    parser.add_argument("--scheduler", default="lcf_central_rr",
-                        help="scheduler for single-run mode "
-                        f"({', '.join(available_schedulers())})")
+    cli.add_run_options(parser, scheduler="lcf_central_rr", load=0.8,
+                        slots=1000, warmup=200)
     parser.add_argument("--schedulers", default=None,
                         help="comma list for grid mode "
                         "(default: lcf_central_rr,lcf_dist_rr)")
-    parser.add_argument("--load", type=float, default=0.8)
-    parser.add_argument("--ports", type=int, default=16)
-    parser.add_argument("--slots", type=int, default=1000,
-                        help="measured slots")
-    parser.add_argument("--warmup", type=int, default=200)
-    parser.add_argument("--iterations", type=int, default=4)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--traffic", default="bernoulli")
-    # Fault plan (single-run mode) — same flags as lcf-faults.
-    parser.add_argument("--port-down", action="append", default=[],
-                        type=_parse_port_down, metavar="P:START:END[:SIDE]",
-                        help="port outage interval (repeatable)")
-    parser.add_argument("--link-down", action="append", default=[],
-                        type=_parse_link_down, metavar="I:J:START:END",
-                        help="single-crosspoint outage (repeatable)")
-    parser.add_argument("--availability", type=float, default=None,
-                        help="duty-cycled outages averaging this availability "
-                        "(default 0.9 when no other fault flag is given)")
+    cli.add_fault_options(
+        parser, rates=False,
+        availability_note=f" (default {DEFAULT_AVAILABILITY} when no other "
+        "fault flag is given)",
+    )
     # Reaction parameters (see repro.adapt.AdaptConfig).
     parser.add_argument("--mode", default="count", choices=("count", "ewma"),
                         help="evidence accumulator")
@@ -93,35 +75,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--ewma-alpha", type=float, default=None)
     parser.add_argument("--suspect-threshold", type=float, default=None)
     parser.add_argument("--readmit-threshold", type=float, default=None)
-    # Grid mode.
-    parser.add_argument("--availability-grid", type=_parse_grid, default=None,
+    parser.add_argument("--availability-grid", type=cli.parse_grid, default=None,
                         metavar="A0,A1,...",
                         help="compare stances over these availabilities (e.g. "
                         f"{','.join(str(x) for x in DEFAULT_AVAILABILITY_GRID)})")
-    parser.add_argument("--replicates", type=int, default=1)
-    parser.add_argument("--workers", type=int, default=1)
-    parser.add_argument("--cache-dir", default=None)
-    parser.add_argument("--fast", action="store_true",
-                        help="run on the repro.fastpath bitmask kernels "
-                        "(bit-identical results, shared cache entries)")
-    # Checkpointing (single-run mode; applies to the adaptive run).
-    parser.add_argument("--checkpoint", metavar="PATH", default=None,
-                        help="single-run mode: checkpoint the adaptive run's "
-                        "state here (estimator health tables included)")
-    parser.add_argument("--checkpoint-every", metavar="N", type=int, default=None,
-                        help="checkpoint cadence in slots (with --checkpoint)")
-    parser.add_argument("--resume", metavar="PATH", default=None,
-                        help="resume a checkpointed adaptive run; the "
-                        "oblivious baseline is re-run fresh for comparison")
-    # Artifacts.
-    parser.add_argument("--trace-out", metavar="PATH", default=None,
-                        help="single-run mode: write the adaptive run's "
-                        "JSONL event trace")
-    parser.add_argument("--csv", metavar="PATH", default=None,
-                        help="write the comparison rows as CSV")
-    parser.add_argument("--json", metavar="PATH", default=None,
-                        help="write the comparison report as JSON")
-    parser.add_argument("--quiet", action="store_true")
+    cli.add_sweep_options(parser)
+    # Checkpointing applies to the adaptive run; a resumed comparison
+    # re-runs the cheap, deterministic oblivious baseline from scratch.
+    cli.add_checkpoint_options(parser, admission=False, stop_at=False)
+    cli.add_artifact_options(parser, "trace-out", "csv", "json")
     return parser
 
 
@@ -139,59 +101,44 @@ def _build_config(args: argparse.Namespace) -> AdaptConfig:
         "suspect_threshold": args.suspect_threshold,
         "readmit_threshold": args.readmit_threshold,
     }
-    return AdaptConfig(**{k: v for k, v in fields.items() if v is not None})
-
-
-def _single_run(args: argparse.Namespace, adapt: AdaptConfig) -> int:
-    if args.scheduler in SPECIAL_SWITCH_NAMES:
-        print(f"lcf-adapt: {args.scheduler!r} uses a dedicated switch model "
-              "without adaptive support", file=sys.stderr)
-        return 2
-    if args.availability is None and not args.port_down and not args.link_down:
-        args.availability = 0.9  # something must fail, or there is nothing to react to
-    args.loss = 0.0
-    args.delay = 0.0
     try:
-        plan = _build_plan(args)
+        return AdaptConfig(**{k: v for k, v in fields.items() if v is not None})
     except ValueError as exc:
-        print(f"lcf-adapt: invalid fault plan: {exc}", file=sys.stderr)
-        return 2
-    config = SimConfig(
-        n_ports=args.ports,
-        iterations=args.iterations,
-        warmup_slots=args.warmup,
-        measure_slots=args.slots,
-        seed=args.seed,
-    )
-    blind = run_simulation(
-        config, args.scheduler, args.load, traffic=args.traffic,
-        faults=plan, adapter=ObliviousAdapter(), fast=args.fast,
-    )
-    tracer = (
-        JsonlTracer(args.trace_out) if args.trace_out else RingTracer(1 << 20)
-    )
+        raise cli.UsageError(f"invalid reaction config: {exc}") from None
+
+
+def _single_run(args: argparse.Namespace, setup: cli.Setup, adapt: AdaptConfig) -> int:
+    plan = setup.plan
+    if args.availability is None and not args.port_down and not args.link_down:
+        plan = FaultPlan.availability(args.ports, DEFAULT_AVAILABILITY)
+    run = setup.resumed
+    if run is None:
+        blind = run_simulation(
+            setup.config, args.scheduler, args.load, traffic=args.traffic,
+            faults=plan, adapter=ObliviousAdapter(), fast=args.fast,
+        )
+    else:
+        blind = run_simulation(
+            SimConfig(**run["config"]), run["scheduler"], run["load"],
+            traffic=run["traffic"], traffic_kwargs=run["traffic_kwargs"],
+            faults=run["faults"], adapter=ObliviousAdapter(), fast=run["fast"],
+        )
+    tracer = cli.open_tracer(args.trace_out, ring=1 << 20)
     metrics = MetricsRegistry()
     adapter = AdaptiveLCF(adapt)
-    with tracer:
-        reactive = run_simulation(
-            config, args.scheduler, args.load, traffic=args.traffic,
-            tracer=tracer, metrics=metrics, faults=plan, adapter=adapter,
-            fast=args.fast, checkpoint_path=args.checkpoint,
-            checkpoint_every=args.checkpoint_every,
-        )
-    if args.checkpoint and not args.quiet:
-        print(f"checkpoint at {args.checkpoint}")
+    reactive = cli.simulate(
+        args, replace(setup, plan=plan), tracer, metrics, adapter=adapter
+    )
     if not args.quiet:
-        print(f"fault plan: {plan.describe()}")
-        print(f"reaction:   {adapt.describe()}")
+        if args.checkpoint:
+            print(f"checkpoint at {args.checkpoint}")
+        if run is None:
+            print(f"fault plan: {plan.describe()}")
+            print(f"reaction:   {adapt.describe()}")
         for stance, result in (("oblivious", blind), ("adaptive", reactive)):
-            print(
-                f"{args.scheduler} [{stance:9s}] load={args.load:g}: "
-                f"throughput {result.throughput:.3f}, "
-                f"mean latency {result.mean_latency:.2f}, "
-                f"forwarded {result.forwarded}"
-            )
-        print(adapter.summary())
+            print(cli.result_line(result, f" [{stance:9s}]"))
+        if run is None:
+            print(adapter.summary())
         if "detection_latency" in metrics:
             hist = metrics.histogram(
                 "detection_latency",
@@ -200,103 +147,29 @@ def _single_run(args: argparse.Namespace, adapt: AdaptConfig) -> int:
             if hist.count:
                 print(f"detection latency: mean {hist.mean:.1f} slot(s) "
                       f"over {hist.count} detection(s)")
-    if args.trace_out and not args.quiet:
-        print(f"trace written to {args.trace_out}")
+        if args.trace_out:
+            print(f"trace written to {args.trace_out}")
     if args.json:
-        atomic_write_text(
-            args.json,
-            json.dumps(
-                {
-                    "mode": "single",
-                    "scheduler": args.scheduler,
-                    "load": args.load,
-                    "plan": plan.describe(),
-                    "adapt": dict(adapt.to_spec()),
-                    "oblivious": blind.row(),
-                    "adaptive": reactive.row(),
-                },
-                indent=2,
-            ),
-        )
+        payload = {"mode": "single" if run is None else "resume",
+                   "scheduler": reactive.scheduler, "load": reactive.load}
+        if run is None:
+            payload["plan"] = plan.describe()
+            payload["adapt"] = dict(adapt.to_spec())
+        else:
+            payload["adapt"] = dict(run["adapt"] or [])
+        payload["oblivious"] = blind.row()
+        payload["adaptive"] = reactive.row()
+        cli.write_json(args, payload)
     return 0
 
 
-def _resume(args: argparse.Namespace) -> int:
-    """Resume the adaptive half of a checkpointed comparison.
-
-    The checkpoint's stored run spec rebuilds the oblivious baseline
-    from scratch (it is cheap and deterministic), while the adaptive
-    run — estimator health tables and all — continues from the file.
-    """
-    from repro.checkpoint import CheckpointError, load_checkpoint, resume_simulation
-
-    tracer = JsonlTracer(args.trace_out) if args.trace_out else None
-    metrics = MetricsRegistry()
-    try:
-        run = load_checkpoint(args.resume)["run"]
-        reactive = resume_simulation(args.resume, tracer=tracer, metrics=metrics)
-    except CheckpointError as exc:
-        print(f"lcf-adapt: {exc}", file=sys.stderr)
-        return 2
-    finally:
-        if tracer is not None:
-            tracer.close()
-    blind = run_simulation(
-        SimConfig(**run["config"]), run["scheduler"], run["load"],
-        traffic=run["traffic"], traffic_kwargs=run["traffic_kwargs"],
-        faults=run["faults"], adapter=ObliviousAdapter(), fast=run["fast"],
-    )
-    if not args.quiet:
-        for stance, result in (("oblivious", blind), ("adaptive", reactive)):
-            print(
-                f"{run['scheduler']} [{stance:9s}] load={run['load']:g}: "
-                f"throughput {result.throughput:.3f}, "
-                f"mean latency {result.mean_latency:.2f}, "
-                f"forwarded {result.forwarded}"
-            )
-    if args.trace_out and not args.quiet:
-        print(f"trace written to {args.trace_out}")
-    if args.json:
-        atomic_write_text(
-            args.json,
-            json.dumps(
-                {
-                    "mode": "resume",
-                    "scheduler": run["scheduler"],
-                    "load": run["load"],
-                    "adapt": dict(pair for pair in (run["adapt"] or [])),
-                    "oblivious": blind.row(),
-                    "adaptive": reactive.row(),
-                },
-                indent=2,
-                allow_nan=True,
-            ),
-        )
-    return 0
-
-
-def _grid(args: argparse.Namespace, adapt: AdaptConfig) -> int:
-    schedulers = tuple(
-        (args.schedulers or "lcf_central_rr,lcf_dist_rr").split(",")
-    )
-    bad = [s for s in schedulers if s in SPECIAL_SWITCH_NAMES]
-    if bad:
-        print(f"lcf-adapt: {bad} use dedicated switch models without "
-              "adaptive support", file=sys.stderr)
-        return 2
-    config = SimConfig(
-        n_ports=args.ports,
-        iterations=args.iterations,
-        warmup_slots=args.warmup,
-        measure_slots=args.slots,
-        seed=args.seed,
-    )
+def _grid(args: argparse.Namespace, setup: cli.Setup, adapt: AdaptConfig) -> int:
     try:
         report = run_adaptive_sweep(
-            schedulers,
+            setup.schedulers or ("lcf_central_rr", "lcf_dist_rr"),
             availabilities=args.availability_grid,
             load=args.load,
-            config=config,
+            config=setup.config,
             adapt=adapt,
             traffic=args.traffic,
             replicates=args.replicates,
@@ -306,58 +179,36 @@ def _grid(args: argparse.Namespace, adapt: AdaptConfig) -> int:
             fast=args.fast,
         )
     except ValueError as exc:
-        print(f"lcf-adapt: {exc}", file=sys.stderr)
-        return 2
+        raise cli.UsageError(str(exc)) from None
     if not args.quiet:
         print(report.summary())
     if args.csv:
-        atomic_write_text(args.csv, report.to_csv())
-        if not args.quiet:
-            print(f"comparison rows written to {args.csv}")
+        cli.write_artifact(args, args.csv, report.to_csv(), "comparison rows")
     if args.json:
-        atomic_write_text(
-            args.json,
-            json.dumps(
-                {
-                    "mode": "availability",
-                    "load": report.load,
-                    "schedulers": list(report.schedulers),
-                    "values": list(report.values),
-                    "adapt": dict(report.adapt_spec),
-                    "rows": report.rows(),
-                },
-                indent=2,
-                allow_nan=True,
-            ),
+        cli.write_json(
+            args,
+            {
+                "mode": "availability",
+                "load": report.load,
+                "schedulers": list(report.schedulers),
+                "values": list(report.values),
+                "adapt": dict(report.adapt_spec),
+                "rows": report.rows(),
+            },
+            "comparison report",
         )
-        if not args.quiet:
-            print(f"comparison report written to {args.json}")
     return 0
 
 
+def _run(args: argparse.Namespace, setup: cli.Setup) -> int:
+    adapt = _build_config(args)
+    if args.resume is None and args.availability_grid is not None:
+        return _grid(args, setup, adapt)
+    return _single_run(args, setup, adapt)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    error = validate_common_args(args, "lcf-adapt")
-    if error is not None:
-        print(error, file=sys.stderr)
-        return 2
-    try:
-        adapt = _build_config(args)
-    except ValueError as exc:
-        print(f"lcf-adapt: invalid reaction config: {exc}", file=sys.stderr)
-        return 2
-    if args.checkpoint_every is not None and not args.checkpoint:
-        print("lcf-adapt: --checkpoint-every needs --checkpoint", file=sys.stderr)
-        return 2
-    if args.resume:
-        if args.checkpoint:
-            print("lcf-adapt: --resume and --checkpoint are mutually "
-                  "exclusive", file=sys.stderr)
-            return 2
-        return _resume(args)
-    if args.availability_grid is not None:
-        return _grid(args, adapt)
-    return _single_run(args, adapt)
+    return cli.run_command(build_parser(), argv, _run)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro import cli
 from repro.analysis.sweep import (
     PAPER_LOADS,
     SweepSpec,
@@ -28,7 +29,6 @@ from repro.analysis.sweep import (
 )
 from repro.analysis.tables import format_table
 from repro.baselines.registry import PAPER_SCHEDULERS, available_schedulers
-from repro.sim.config import SimConfig
 
 
 def _parse_loads(text: str) -> tuple[float, ...]:
@@ -55,12 +55,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="comma-separated loads in (0, 1]")
     parser.add_argument("--paper", action="store_true",
                         help="use the full paper load grid (0.05..1.0)")
-    parser.add_argument("--ports", type=int, default=16)
-    parser.add_argument("--warmup-slots", type=int, default=2000)
-    parser.add_argument("--measure-slots", type=int, default=20000)
-    parser.add_argument("--iterations", type=int, default=4)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--traffic", default="bernoulli")
+    cli.add_run_options(parser, slots=20000, warmup=2000,
+                        slot_flags=("--measure-slots", "--warmup-slots"))
     parser.add_argument(
         "--traffic-arg",
         action="append",
@@ -69,33 +65,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="pattern parameter, repeatable (e.g. --traffic-arg fraction=0.3 "
         "with --traffic hotspot); values parse as int, then float, else str",
     )
-    parser.add_argument(
-        "--workers", "--processes", dest="workers", type=int, default=1,
-        help="simulation worker processes (1 = serial, bit-identical to "
-        "the historical sequential run)",
-    )
-    parser.add_argument(
-        "--replicates", type=int, default=1,
-        help="independent seed replicates per (scheduler, load) point; "
-        "replicate r runs under seed+r and shards are merged with "
-        "pooled statistics",
-    )
-    parser.add_argument(
-        "--cache-dir", metavar="DIR", default=None,
-        help="on-disk result cache; completed points are stored as they "
-        "finish, so interrupted sweeps resume and re-runs are instant",
-    )
+    cli.add_sweep_options(parser, worker_flags=("--workers", "--processes"))
     parser.add_argument(
         "--profile", metavar="DIR", default=None,
         help="capture one cProfile stats file per computed point into DIR "
         "(inspect with pstats/snakeviz); the run report adds per-worker "
         "telemetry either way",
-    )
-    parser.add_argument(
-        "--fast", action="store_true",
-        help="run on the repro.fastpath bitmask kernels (bit-identical "
-        "results, several times the slot rate; cache entries are shared "
-        "with reference runs)",
     )
     parser.add_argument(
         "--columnar", action="store_true",
@@ -110,9 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--plot", action="store_true", help="ASCII plot")
     parser.add_argument("--check-shape", action="store_true",
                         help="evaluate the Section 6.3 qualitative claims")
-    parser.add_argument("--csv", metavar="PATH", default=None,
-                        help="write per-point results as CSV")
-    parser.add_argument("--quiet", action="store_true")
+    cli.add_artifact_options(parser, "csv")
     return parser
 
 
@@ -120,7 +93,9 @@ def _parse_traffic_args(pairs: list[str]) -> tuple[tuple[str, object], ...]:
     parsed: list[tuple[str, object]] = []
     for pair in pairs:
         if "=" not in pair:
-            raise SystemExit(f"--traffic-arg expects KEY=VALUE, got {pair!r}")
+            print(f"lcf-sweep: --traffic-arg expects KEY=VALUE, got {pair!r}",
+                  file=sys.stderr)
+            raise SystemExit(2)
         key, text = pair.split("=", 1)
         value: object
         try:
@@ -134,9 +109,8 @@ def _parse_traffic_args(pairs: list[str]) -> tuple[tuple[str, object], ...]:
     return tuple(parsed)
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    schedulers = tuple(args.schedulers.split(","))
+def _run(args: argparse.Namespace, setup: cli.Setup) -> int:
+    schedulers = setup.schedulers
     loads = args.loads or (PAPER_LOADS if args.paper else (0.3, 0.6, 0.8, 0.9, 0.95))
     if args.relative and "outbuf" not in schedulers:
         schedulers = schedulers + ("outbuf",)
@@ -144,13 +118,7 @@ def main(argv: list[str] | None = None) -> int:
     spec = SweepSpec(
         schedulers=schedulers,
         loads=loads,
-        config=SimConfig(
-            n_ports=args.ports,
-            warmup_slots=args.warmup_slots,
-            measure_slots=args.measure_slots,
-            iterations=args.iterations,
-            seed=args.seed,
-        ),
+        config=setup.config,
         traffic=args.traffic,
         traffic_kwargs=_parse_traffic_args(args.traffic_arg),
         replicates=args.replicates,
@@ -166,9 +134,7 @@ def main(argv: list[str] | None = None) -> int:
     )
 
     if args.csv:
-        with open(args.csv, "w") as handle:
-            handle.write(sweep.to_csv())
-        print(f"wrote {args.csv}")
+        cli.write_artifact(args, args.csv, sweep.to_csv(), "points")
 
     if not args.quiet:
         print()
@@ -182,6 +148,10 @@ def main(argv: list[str] | None = None) -> int:
         print()
         print(shape_report(check_paper_shape(sweep)))
     return 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    return cli.run_command(build_parser(), argv, _run, dedicated=True)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -63,6 +63,15 @@ def format_table(
     return "\n".join([header, separator] + [render_row(row) for row in cells])
 
 
+def csv_cell(value: object) -> str:
+    """One CSV field, quoted per RFC 4180 when it holds a comma, quote
+    or newline."""
+    text = str(value)
+    if "," in text or '"' in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def rows_to_csv(rows: Iterable[Mapping[str, object]], columns: list[str] | None = None) -> str:
     """Serialise dict rows as CSV text (no external dependency)."""
     rows = list(rows)
@@ -70,7 +79,7 @@ def rows_to_csv(rows: Iterable[Mapping[str, object]], columns: list[str] | None 
         return ""
     if columns is None:
         columns = list(rows[0].keys())
-    lines = [",".join(columns)]
+    lines = [",".join(csv_cell(col) for col in columns)]
     for row in rows:
-        lines.append(",".join(str(row.get(col, "")) for col in columns))
+        lines.append(",".join(csv_cell(row.get(col, "")) for col in columns))
     return "\n".join(lines) + "\n"

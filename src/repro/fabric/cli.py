@@ -23,13 +23,11 @@ Examples::
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
+from repro import cli
+from repro.analysis.tables import rows_to_csv
 from repro.fabric.spec import ROUTING_POLICIES, FabricSpec
-from repro.ioutil import atomic_write_text
-from repro.obs.tracer import JsonlTracer, RingTracer
-from repro.sim.config import SimConfig
 
 
 def _parse_topology(text: str) -> tuple[int, int, int]:
@@ -68,13 +66,6 @@ def _parse_stage_fault(text: str) -> tuple[int, int, tuple]:
     return (stage, index, (("port_down", ((port, start, end, side),)),))
 
 
-def _parse_grid(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(part) for part in text.split(",") if part.strip())
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad float grid {text!r}") from None
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lcf-fabric",
@@ -95,13 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="inter-stage boundary queue capacity")
     parser.add_argument("--link-delay", type=int, default=1,
                         help="slots per inter-stage link traversal")
-    parser.add_argument("--load", type=float, default=0.8)
-    parser.add_argument("--slots", type=int, default=2000,
-                        help="measured slots")
-    parser.add_argument("--warmup", type=int, default=200)
-    parser.add_argument("--iterations", type=int, default=4)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--traffic", default="bernoulli")
+    cli.add_run_options(parser, load=0.8, ports=False, slots=2000, warmup=200)
     parser.add_argument("--fault", action="append", default=[],
                         type=_parse_stage_fault,
                         metavar="S.I:PORT:START:END[:SIDE]",
@@ -112,87 +97,23 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--backend", default="inline",
                         choices=("inline", "process"),
                         help="shard execution backend (shards > 1)")
-    parser.add_argument("--fast", action="store_true",
-                        help="run stage schedulers on their repro.fastpath "
-                        "kernels where available (bit-identical results)")
     parser.add_argument("--percentiles", action="store_true",
                         help="collect per-packet latency percentiles")
-    # Grid mode.
-    parser.add_argument("--load-grid", type=_parse_grid, default=None,
+    parser.add_argument("--load-grid", type=cli.parse_grid, default=None,
                         metavar="L0,L1,...",
                         help="one fabric run per offered load")
-    # Artifacts.
-    parser.add_argument("--trace-out", metavar="PATH", default=None,
-                        help="single-run mode: write the JSONL event trace")
-    parser.add_argument("--csv", metavar="PATH", default=None,
-                        help="write result rows as CSV")
-    parser.add_argument("--json", metavar="PATH", default=None,
-                        help="write the run report as JSON")
-    parser.add_argument("--quiet", action="store_true")
+    cli.add_artifact_options(parser, "trace-out", "csv", "json")
     return parser
 
 
-def validate_args(args: argparse.Namespace, prog: str) -> str | None:
-    """CLI sanity checks; returns an error message or ``None``.
-
-    argparse types catch malformed values; this catches well-formed
-    nonsense (conflicting topology flags, zero shards, empty grids)
-    *before* any simulation runs or artifact file is opened, so a bad
-    invocation exits non-zero without side effects.
-    """
-    chosen = [
-        flag for flag, value in (
-            ("--topology", args.topology),
-            ("--square", args.square),
-            ("--single", args.single),
-        ) if value is not None
-    ]
-    if len(chosen) > 1:
-        return f"{prog}: choose one of {', '.join(chosen)}"
-    for flag, value in (("--square", args.square), ("--single", args.single)):
-        if value is not None and value < 1:
-            return f"{prog}: {flag} must be >= 1, got {value}"
-    if args.slots < 0:
-        return f"{prog}: --slots must be >= 0, got {args.slots}"
-    if args.warmup < 0:
-        return f"{prog}: --warmup must be >= 0, got {args.warmup}"
-    if args.seed < 0:
-        return f"{prog}: --seed must be >= 0, got {args.seed}"
-    if not 0.0 < args.load <= 1.0:
-        return f"{prog}: --load must be in (0, 1], got {args.load}"
-    if args.boundary < 1:
-        return f"{prog}: --boundary must be >= 1, got {args.boundary}"
-    if args.link_delay < 1:
-        return f"{prog}: --link-delay must be >= 1, got {args.link_delay}"
-    if args.shards < 1:
-        return f"{prog}: --shards must be >= 1, got {args.shards}"
-    if args.load_grid is not None:
-        if len(args.load_grid) == 0:
-            return f"{prog}: --load-grid was given but contains no values"
-        bad = [load for load in args.load_grid if not 0.0 < load <= 1.0]
-        if bad:
-            return f"{prog}: --load-grid values must be in (0, 1], got {bad}"
-    if not args.schedulers.strip(","):
-        return f"{prog}: --schedulers must name at least one scheduler"
-    return None
-
-
-def build_spec(args: argparse.Namespace, load: float) -> FabricSpec:
+def build_spec(args: argparse.Namespace, setup: cli.Setup, load: float) -> FabricSpec:
     """Assemble the :class:`FabricSpec` one invocation describes.
 
     Raises ``ValueError`` for semantic errors the spec validates
     (unknown scheduler, fault coordinates off the topology, wrong
     scheduler count) — the caller maps that to exit code 2.
     """
-    schedulers = tuple(
-        name.strip() for name in args.schedulers.split(",") if name.strip()
-    )
-    config_changes = dict(
-        iterations=args.iterations,
-        warmup_slots=args.warmup,
-        measure_slots=args.slots,
-        seed=args.seed,
-    )
+    schedulers = setup.schedulers
     common = dict(
         load=load,
         traffic=args.traffic,
@@ -208,18 +129,18 @@ def build_spec(args: argparse.Namespace, load: float) -> FabricSpec:
             )
         return FabricSpec.single(
             args.single, schedulers[0],
-            config=SimConfig(n_ports=args.single, **config_changes), **common,
+            config=setup.config.with_(n_ports=args.single), **common,
         )
     if args.topology is not None:
         m, k, r = args.topology
         return FabricSpec(
             m=m, k=k, r=r, schedulers=schedulers,
-            config=SimConfig(n_ports=k * r, **config_changes), **common,
+            config=setup.config.with_(n_ports=k * r), **common,
         )
     n_ports = args.square if args.square is not None else 16
     spec = FabricSpec.square(
         n_ports, schedulers[0],
-        config=SimConfig(n_ports=n_ports, **config_changes), **common,
+        config=setup.config.with_(n_ports=n_ports), **common,
     )
     if len(schedulers) > 1:
         spec = FabricSpec.from_spec(
@@ -256,28 +177,10 @@ def _print_summary(result) -> None:
         print(f"  p{percentile:g} latency: {result.percentiles[percentile]:.2f}")
 
 
-def _csv_cell(value: object) -> str:
-    text = str(value)
-    if "," in text or '"' in text or "\n" in text:
-        return '"' + text.replace('"', '""') + '"'
-    return text
-
-
-def _rows_to_csv(rows: list[dict]) -> str:
-    header = list(rows[0])
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_csv_cell(row.get(name, "")) for name in header))
-    return "\n".join(lines) + "\n"
-
-
 def _single_run(args: argparse.Namespace, spec: FabricSpec) -> int:
     from repro.fabric.sim import run_fabric
 
-    tracer = (
-        JsonlTracer(args.trace_out) if args.trace_out else RingTracer(1 << 16)
-    )
-    with tracer:
+    with cli.open_tracer(args.trace_out, ring=1 << 16) as tracer:
         result = run_fabric(
             spec,
             shards=args.shards,
@@ -291,36 +194,25 @@ def _single_run(args: argparse.Namespace, spec: FabricSpec) -> int:
         if args.trace_out:
             print(f"trace written to {args.trace_out}")
     if args.csv:
-        atomic_write_text(args.csv, _rows_to_csv([result.row()]))
-        if not args.quiet:
-            print(f"result row written to {args.csv}")
+        cli.write_artifact(args, args.csv, rows_to_csv([result.row()]), "result row")
     if args.json:
-        atomic_write_text(
-            args.json,
-            json.dumps(
-                {
-                    "mode": "single",
-                    "spec": [list(pair) for pair in spec.to_spec()],
-                    "key": spec.key(),
-                    "shards": args.shards,
-                    "row": result.row(),
-                },
-                indent=2,
-            ),
-        )
-        if not args.quiet:
-            print(f"report written to {args.json}")
+        cli.write_json(args, {
+            "mode": "single",
+            "spec": [list(pair) for pair in spec.to_spec()],
+            "key": spec.key(),
+            "shards": args.shards,
+            "row": result.row(),
+        })
     return 0
 
 
-def _load_grid(args: argparse.Namespace) -> int:
+def _load_grid(args: argparse.Namespace, setup: cli.Setup) -> int:
     from repro.fabric.sim import run_fabric
 
     rows = []
     for load in args.load_grid:
-        spec = build_spec(args, load)
         result = run_fabric(
-            spec,
+            build_spec(args, setup, load),
             shards=args.shards,
             backend=args.backend,
             collect_percentiles=args.percentiles,
@@ -335,45 +227,42 @@ def _load_grid(args: argparse.Namespace) -> int:
                 f"backpressure slots {result.backpressure_slots}"
             )
     if args.csv:
-        atomic_write_text(args.csv, _rows_to_csv(rows))
-        if not args.quiet:
-            print(f"grid rows written to {args.csv}")
+        cli.write_artifact(args, args.csv, rows_to_csv(rows), "grid rows")
     if args.json:
-        spec = build_spec(args, args.load_grid[0])
-        atomic_write_text(
-            args.json,
-            json.dumps(
-                {
-                    "mode": "load-grid",
-                    "spec": [list(pair) for pair in spec.to_spec()],
-                    "loads": list(args.load_grid),
-                    "shards": args.shards,
-                    "rows": rows,
-                },
-                indent=2,
-            ),
-        )
-        if not args.quiet:
-            print(f"grid report written to {args.json}")
+        spec = build_spec(args, setup, args.load_grid[0])
+        cli.write_json(args, {
+            "mode": "load-grid",
+            "spec": [list(pair) for pair in spec.to_spec()],
+            "loads": list(args.load_grid),
+            "shards": args.shards,
+            "rows": rows,
+        }, "grid report")
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    error = validate_args(args, "lcf-fabric")
-    if error is not None:
-        print(error, file=sys.stderr)
-        return 2
+def _run(args: argparse.Namespace, setup: cli.Setup) -> int:
+    chosen = [
+        flag for flag, value in (
+            ("--topology", args.topology),
+            ("--square", args.square),
+            ("--single", args.single),
+        ) if value is not None
+    ]
+    if len(chosen) > 1:
+        raise cli.UsageError(f"choose one of {', '.join(chosen)}")
     try:
         spec = build_spec(
-            args, args.load_grid[0] if args.load_grid else args.load
+            args, setup, args.load_grid[0] if args.load_grid else args.load
         )
     except ValueError as exc:
-        print(f"lcf-fabric: {exc}", file=sys.stderr)
-        return 2
+        raise cli.UsageError(str(exc)) from None
     if args.load_grid is not None:
-        return _load_grid(args)
+        return _load_grid(args, setup)
     return _single_run(args, spec)
+
+
+def main(argv: list[str] | None = None) -> int:
+    return cli.run_command(build_parser(), argv, _run)
 
 
 if __name__ == "__main__":  # pragma: no cover

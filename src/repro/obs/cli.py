@@ -20,19 +20,18 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.baselines.registry import (
-    SPECIAL_SWITCH_NAMES,
-    available_schedulers,
-    make_scheduler,
-)
+from repro import cli
+from repro.baselines.registry import make_scheduler
 from repro.fastpath.registry import make_fast_scheduler
 from repro.obs.chrome import write_chrome_trace
 from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.probe import MatchingQualityProbe
-from repro.obs.tracer import JsonlTracer, RingTracer, events_from_jsonl
-from repro.sim.config import SimConfig
+from repro.obs.tracer import events_from_jsonl
 from repro.sim.crossbar import InputQueuedSwitch
 from repro.traffic.base import make_traffic
+
+#: Events a run without ``--out`` keeps in memory for ``--chrome``.
+RING_CAPACITY = 1 << 20
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -41,17 +40,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Traced single-run harness: per-slot event trace plus a "
         "scheduler decision summary (LCF reproduction).",
     )
-    parser.add_argument("--scheduler", default="lcf_central_rr",
-                        help=f"crossbar scheduler ({', '.join(available_schedulers())})")
-    parser.add_argument("--load", type=float, default=0.9)
-    parser.add_argument("--ports", type=int, default=16)
-    parser.add_argument("--slots", type=int, default=1000,
-                        help="measured slots (statistics and trace cover these)")
-    parser.add_argument("--warmup", type=int, default=0,
-                        help="untraced warm-up slots before measurement")
-    parser.add_argument("--iterations", type=int, default=4)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--traffic", default="bernoulli")
+    cli.add_run_options(parser, scheduler="lcf_central_rr", load=0.9,
+                        slots=1000, warmup=0)
     parser.add_argument("--out", metavar="PATH", default=None,
                         help="write the JSONL event trace here")
     parser.add_argument("--chrome", metavar="PATH", default=None,
@@ -59,30 +49,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--no-max-matching", action="store_true",
                         help="skip the per-slot Hopcroft-Karp maximum-matching "
                         "yardstick (faster for big runs)")
-    parser.add_argument("--fast", action="store_true",
-                        help="use the repro.fastpath bitmask kernel for the "
-                        "scheduler (bit-identical trace and summary)")
     parser.add_argument("--snapshot", metavar="PATH", default=None,
                         help="dump a final OpenMetrics snapshot of the run's "
                         "metrics registry here (.json suffix switches to JSON)")
-    parser.add_argument("--admission", metavar="LOW:HIGH", default=None,
-                        help="attach threshold admission control with these "
-                        "occupancy watermarks (packets, switch-wide)")
-    parser.add_argument("--checkpoint", metavar="PATH", default=None,
-                        help="checkpoint the run's complete state here "
-                        "(switches to the plain run_simulation driver; the "
-                        "Hopcroft-Karp probe summary is skipped)")
-    parser.add_argument("--checkpoint-every", metavar="N", type=int, default=None,
-                        help="checkpoint cadence in slots (with --checkpoint)")
-    parser.add_argument("--stop-at", metavar="SLOT", type=int, default=None,
-                        help="pause at this slot after writing a final "
-                        "checkpoint (with --checkpoint); resume later with "
-                        "--resume")
-    parser.add_argument("--resume", metavar="PATH", default=None,
-                        help="resume a checkpointed run instead of starting "
-                        "one; --out captures the remaining slots' events")
-    parser.add_argument("--quiet", action="store_true",
-                        help="suppress the decision summary")
+    # --checkpoint/--resume switch to the plain run_simulation driver;
+    # the Hopcroft-Karp probe summary is skipped there.
+    cli.add_checkpoint_options(parser)
+    cli.add_artifact_options(parser)
     return parser
 
 
@@ -90,71 +63,12 @@ def _rate(num: float, den: float) -> float:
     return num / den if den else float("nan")
 
 
-def _parse_admission(text: str | None):
-    """``LOW:HIGH`` → admission spec dict (None passes through)."""
-    if text is None:
-        return None
-    low, sep, high = text.partition(":")
-    if not sep:
-        raise ValueError(f"expected LOW:HIGH, got {text!r}")
-    return {"low": int(low), "high": int(high)}
-
-
-def _result_summary(result) -> str:
-    """Short statistics block for checkpoint/resume runs."""
-    lines = [
-        "",
-        f"== lcf-trace: {result.scheduler} n={result.config.n_ports} "
-        f"load={result.load} seed={result.config.seed} ==",
-        f"offered {result.offered}  forwarded {result.forwarded}  "
-        f"dropped {result.dropped}  shed {result.shed}",
-        f"mean latency {result.mean_latency:.3f} slots  "
-        f"throughput {result.throughput:.4f}",
-    ]
-    return "\n".join(lines)
-
-
-def _run_checkpointed(args) -> int:
-    """--checkpoint / --resume flows: the run_simulation driver."""
-    from repro.checkpoint import CheckpointError, resume_simulation
-    from repro.sim.simulator import run_simulation
-
-    tracer = JsonlTracer(args.out) if args.out else None
-    metrics = MetricsRegistry()
-    try:
-        if args.resume:
-            result = resume_simulation(args.resume, tracer=tracer, metrics=metrics)
-        else:
-            config = SimConfig(
-                n_ports=args.ports,
-                warmup_slots=args.warmup,
-                measure_slots=args.slots,
-                iterations=args.iterations,
-                seed=args.seed,
-            )
-            result = run_simulation(
-                config,
-                args.scheduler,
-                args.load,
-                traffic=args.traffic,
-                tracer=tracer,
-                metrics=metrics,
-                fast=args.fast,
-                admission=_parse_admission(args.admission),
-                checkpoint_path=args.checkpoint,
-                checkpoint_every=args.checkpoint_every,
-                stop_at_slot=args.stop_at,
-            )
-    except CheckpointError as exc:
-        print(f"lcf-trace: {exc}", file=sys.stderr)
-        return 2
-    finally:
-        if tracer is not None:
-            tracer.close()
+def _write_outputs(args, tracer, metrics: MetricsRegistry, final_slot) -> None:
+    """The --out / --chrome / --snapshot reports of a finished run."""
     if args.out and not args.quiet:
         print(f"wrote {args.out} ({tracer.emitted} events)")
     if args.chrome:
-        events = events_from_jsonl(args.out) if args.out else []
+        events = events_from_jsonl(args.out) if args.out else tracer.events
         spans = write_chrome_trace(events, args.chrome)
         if not args.quiet:
             print(f"wrote {args.chrome} ({spans} trace events)")
@@ -165,54 +79,28 @@ def _run_checkpointed(args) -> int:
         render = (
             render_json if args.snapshot.endswith(".json") else render_openmetrics
         )
-        atomic_write_text(args.snapshot, render(metrics))
+        atomic_write_text(args.snapshot, render(metrics, slot=final_slot))
         if not args.quiet:
             print(f"wrote {args.snapshot} ({len(metrics)} metrics)")
-    if args.checkpoint and not args.quiet:
-        print(f"checkpoint at {args.checkpoint}")
+
+
+def _run_checkpointed(args, setup: cli.Setup) -> int:
+    """--checkpoint / --resume flows: the run_simulation driver."""
+    tracer = cli.open_tracer(args.out, ring=RING_CAPACITY if args.chrome else 0)
+    metrics = MetricsRegistry()
+    result = cli.simulate(args, setup, tracer, metrics)
+    _write_outputs(args, tracer, metrics, final_slot=None)
     if not args.quiet:
-        print(_result_summary(result))
+        if args.checkpoint:
+            print(f"checkpoint at {args.checkpoint}")
+        print(cli.result_line(result))
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    if (args.checkpoint_every is not None or args.stop_at is not None) and not (
-        args.checkpoint or args.resume
-    ):
-        print("lcf-trace: --checkpoint-every/--stop-at need --checkpoint",
-              file=sys.stderr)
-        return 2
-    if args.resume and args.checkpoint:
-        print("lcf-trace: --resume and --checkpoint are mutually exclusive "
-              "(a resumed run keeps checkpointing to its own file)",
-              file=sys.stderr)
-        return 2
-    if args.admission is not None:
-        try:
-            _parse_admission(args.admission)
-        except ValueError as exc:
-            print(f"lcf-trace: bad --admission: {exc}", file=sys.stderr)
-            return 2
-    if args.resume:
-        return _run_checkpointed(args)
-    if args.scheduler in SPECIAL_SWITCH_NAMES:
-        print(f"lcf-trace: {args.scheduler!r} uses a dedicated switch model "
-              "with no VOQ pipeline to trace", file=sys.stderr)
-        return 2
-    if args.load <= 0.0 or args.load > 1.0:
-        print(f"lcf-trace: load {args.load} outside (0, 1]", file=sys.stderr)
-        return 2
-    if args.checkpoint:
-        return _run_checkpointed(args)
-
-    config = SimConfig(
-        n_ports=args.ports,
-        warmup_slots=args.warmup,
-        measure_slots=args.slots,
-        iterations=args.iterations,
-        seed=args.seed,
-    )
+def _run(args, setup: cli.Setup) -> int:
+    if args.checkpoint or args.resume:
+        return _run_checkpointed(args, setup)
+    config = setup.config
     factory = make_fast_scheduler if args.fast else make_scheduler
     scheduler = factory(
         args.scheduler, args.ports, iterations=args.iterations, seed=args.seed
@@ -221,13 +109,13 @@ def main(argv: list[str] | None = None) -> int:
     if not args.no_max_matching and getattr(scheduler, "weight_kind", None) is None:
         probe = MatchingQualityProbe(scheduler)
 
-    tracer = JsonlTracer(args.out) if args.out else RingTracer(capacity=1 << 20)
+    tracer = cli.open_tracer(args.out, ring=RING_CAPACITY)
     metrics = MetricsRegistry()
     from repro.sim.admission import make_admission
 
     switch = InputQueuedSwitch(
         config, probe or scheduler, tracer=tracer, metrics=metrics,
-        admission=make_admission(_parse_admission(args.admission)),
+        admission=make_admission(setup.admission),
     )
     pattern = make_traffic(args.traffic, args.ports, args.load, seed=args.seed)
 
@@ -239,30 +127,15 @@ def main(argv: list[str] | None = None) -> int:
         switch.step(slot, pattern.arrivals())
     tracer.close()
 
-    if args.chrome:
-        events = (
-            events_from_jsonl(args.out) if args.out else tracer.events
-        )
-        spans = write_chrome_trace(events, args.chrome)
-        if not args.quiet:
-            print(f"wrote {args.chrome} ({spans} trace events)")
-    if args.out and not args.quiet:
-        print(f"wrote {args.out} ({tracer.emitted} events)")
-    if args.snapshot:
-        from repro.ioutil import atomic_write_text
-        from repro.obs.serve import render_json, render_openmetrics
-
-        render = (
-            render_json if args.snapshot.endswith(".json") else render_openmetrics
-        )
-        final_slot = config.total_slots - 1 if config.total_slots else None
-        atomic_write_text(args.snapshot, render(metrics, slot=final_slot))
-        if not args.quiet:
-            print(f"wrote {args.snapshot} ({len(metrics)} metrics)")
-
+    final_slot = config.total_slots - 1 if config.total_slots else None
+    _write_outputs(args, tracer, metrics, final_slot)
     if not args.quiet:
         print(decision_summary(args, switch, metrics, probe))
     return 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    return cli.run_command(build_parser(), argv, _run)
 
 
 def decision_summary(

@@ -10,14 +10,10 @@ import json
 
 import pytest
 
-from repro.fabric.cli import (
-    _csv_cell,
-    _parse_grid,
-    _parse_stage_fault,
-    _parse_topology,
-    _rows_to_csv,
-    main,
-)
+from repro.analysis.tables import csv_cell as _csv_cell
+from repro.analysis.tables import rows_to_csv as _rows_to_csv
+from repro.cli import parse_grid as _parse_grid
+from repro.fabric.cli import _parse_stage_fault, _parse_topology, main
 
 
 def run_cli(*argv):

@@ -98,3 +98,18 @@ def test_bad_load_rejected(capsys):
     code, _, stderr = run_cli(capsys, "--load", "1.5")
     assert code == 2
     assert "outside" in stderr
+
+
+def test_checkpointed_chrome_export_without_jsonl(tmp_path, capsys):
+    # With no --out, the checkpoint/resume driver keeps the events in a
+    # ring for --chrome instead of exporting an empty trace.
+    chrome = tmp_path / "trace.json"
+    code, _, _ = run_cli(
+        capsys,
+        "--ports", "4", "--slots", "80", "--warmup", "0",
+        "--checkpoint", str(tmp_path / "run.ckpt"), "--stop-at", "40",
+        "--chrome", str(chrome),
+    )
+    assert code == 0
+    events = json.loads(chrome.read_text())["traceEvents"]
+    assert any(event["ph"] != "M" for event in events)  # beyond metadata
