@@ -255,6 +255,9 @@ _FLOORS = {
     "square": 1, "single": 1, "boundary": 1, "link_delay": 1, "shards": 1,
 }
 
+#: dests of the sweep-mode grids (``lcf-faults``, ``lcf-adapt``, ``lcf-fabric``).
+_GRIDS = ("loss_grid", "availability_grid", "load_grid")
+
 
 @dataclass(frozen=True)
 class Setup:
@@ -307,7 +310,7 @@ def validate(
             raise UsageError(f"{_flag(parser, dest)} must be >= {floor}, got {value}")
     if hasattr(args, "load") and not 0.0 < args.load <= 1.0:
         raise UsageError(f"--load {args.load} outside (0, 1]")
-    for dest in ("loss_grid", "availability_grid", "load_grid"):
+    for dest in _GRIDS:
         grid = getattr(args, dest, None)
         if grid is not None and not grid:
             raise UsageError(f"{_flag(parser, dest)} was given but contains no values")
@@ -329,16 +332,27 @@ def validate(
             f"(known: {', '.join(available_patterns())})"
         )
 
-    pausing = [
-        _flag(parser, dest) for dest in ("checkpoint_every", "stop_at")
-        if getattr(args, dest, None) is not None
-    ]
+    # A grid runs a sweep (unless --resume continues one single run), so
+    # the single-run artifacts and state would silently go unused.
+    grid = next((dest for dest in _GRIDS if getattr(args, dest, None) is not None), None)
+    if grid is not None and not getattr(args, "resume", None):
+        for dest in ("trace_out", "checkpoint", "admission"):
+            if getattr(args, dest, None):
+                raise UsageError(f"{_flag(parser, dest)} applies to a single run, "
+                                 f"not a {_flag(parser, grid)} sweep")
+
+    cadence = [dest for dest in ("checkpoint_every", "stop_at") if hasattr(args, dest)]
+    pausing = [_flag(parser, dest) for dest in cadence if getattr(args, dest) is not None]
     if hasattr(args, "resume"):
         if pausing and not (args.checkpoint or args.resume):
             raise UsageError(f"{pausing[0]} needs --checkpoint or --resume")
         if args.resume and args.checkpoint:
             raise UsageError("--resume and --checkpoint are mutually exclusive "
                              "(a resumed run keeps checkpointing to its own file)")
+        if args.checkpoint and not pausing:
+            needs = " or ".join(_flag(parser, dest) for dest in cadence)
+            raise UsageError(f"--checkpoint needs {needs}: "
+                             "a run that never pauses writes no checkpoint")
     try:
         admission = parse_admission(getattr(args, "admission", None))
     except ValueError as exc:

@@ -17,7 +17,9 @@ serial :func:`repro.sim.simulator.run_simulation` with that replicate's
 seed. Two design points make this exact rather than approximate:
 
 * each replicate owns its serial :class:`~repro.traffic.TrafficPattern`
-  instance, called once per slot, so the RNG sample path cannot differ;
+  instance, drawn one block of up to 64 slots at a time
+  (``arrivals(k)``, stream-exact with per-slot draws), so the RNG sample
+  path cannot differ;
 * latency statistics are *replayed* into per-replicate Welford
   accumulators in the serial order (slot-major, input-ascending) —
   Welford is sequential in floating point, so the engine defers the
@@ -49,6 +51,9 @@ DEFAULT_MAX_BYTES = 2 * 1024**3
 
 #: Flush the deferred latency chunks after roughly this many samples.
 _FLUSH_SAMPLES = 1 << 16
+
+#: Slots of arrivals drawn per replicate per traffic call.
+_ARRIVAL_BLOCK = 64
 
 #: Initial circular-buffer depths (packets); doubled on demand.
 _PQ_DEPTH0 = 8
@@ -157,7 +162,6 @@ class ColumnarEngine:
         self._chunk_flat: list[np.ndarray] = []
         self._chunk_count = 0
 
-        self._arr = np.empty((reps, n), dtype=np.int64)
         # Fail fast when even the shallow initial buffers exceed the
         # ceiling — callers fall back before simulating a single slot.
         self._check_budget(0)
@@ -219,12 +223,13 @@ class ColumnarEngine:
 
     # -- slot pipeline ------------------------------------------------
 
-    def _slot(self, slot: int) -> None:
+    def _slot(self, slot: int, arr: np.ndarray | None = None) -> None:
+        """Advance every replicate one slot; ``arr`` holds the slot's
+        ``(R, n)`` arrivals (``None`` draws them from the patterns)."""
         n = self._n
         measuring = self.measuring
-        arr = self._arr
-        for r, pattern in enumerate(self.patterns):
-            arr[r] = pattern.arrivals()
+        if arr is None:
+            arr = np.stack([pattern.arrivals() for pattern in self.patterns])
 
         # 1. Generation into PQs (drop when full, count drops always,
         #    count offered only while measuring — the serial stage 1).
@@ -373,11 +378,16 @@ class ColumnarEngine:
         :class:`~repro.sim.simulator.SimResult` per seed, in seed order."""
         config = self.config
         warmup = config.warmup_slots
-        for slot in range(config.total_slots):
-            if slot == warmup:
-                self.measuring = True
-            self._slot(slot)
-            if self._chunk_count >= _FLUSH_SAMPLES:
-                self._flush()
+        total = config.total_slots
+        for first in range(0, total, _ARRIVAL_BLOCK):
+            slots = min(_ARRIVAL_BLOCK, total - first)
+            # (slots, R, n): row k is every replicate's slot first + k.
+            block = np.stack([p.arrivals(slots) for p in self.patterns], axis=1)
+            for slot in range(first, first + slots):
+                if slot == warmup:
+                    self.measuring = True
+                self._slot(slot, block[slot - first])
+                if self._chunk_count >= _FLUSH_SAMPLES:
+                    self._flush()
         self._flush()
         return [self._package(r) for r in range(self._reps)]

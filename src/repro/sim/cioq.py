@@ -15,18 +15,10 @@ This quantifies the gap Figure 12 shows between ``lcf_central`` and
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.base import Scheduler
 from repro.sim.config import SimConfig
 from repro.sim.metrics import OnlineStats
-from repro.sim.queues import (
-    OutputQueue,
-    PacketQueue,
-    VOQSet,
-    enqueue_arrivals,
-    inject_heads,
-)
+from repro.sim.queues import OutputQueue, PacketQueue, VOQSet, admit_arrivals
 from repro.types import NO_GRANT
 
 
@@ -70,14 +62,13 @@ class CIOQSwitch:
             q.dropped for q in self.out_queues
         )
 
-    def step(self, slot: int, arrivals: np.ndarray) -> None:
+    def step(self, slot: int, arrivals) -> None:
         n = self.n
         # 1. Generation into PQs and 2. injection, both at the external
         #    link rate (one packet per input per slot).
-        arrived = enqueue_arrivals(self.pqs, arrivals.tolist(), slot)
+        arrived = admit_arrivals(self.pqs, self.voqs, arrivals, slot)
         if self.measuring:
             self.offered += arrived
-        inject_heads(self.pqs, self.voqs)
 
         # 3. Fabric phases: s scheduling + transfer rounds per slot,
         #    inputs and outputs each moving at s packets/slot internally.

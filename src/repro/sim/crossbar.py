@@ -59,7 +59,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer, effective_tracer
 from repro.sim.config import SimConfig
 from repro.sim.metrics import OnlineStats, ServiceMatrix
-from repro.sim.queues import PacketQueue, VOQSet, enqueue_arrivals, inject_heads
+from repro.sim.queues import PacketQueue, VOQSet, admit_arrivals
 from repro.traffic.base import NO_ARRIVAL
 from repro.types import NO_GRANT
 
@@ -287,8 +287,11 @@ class InputQueuedSwitch:
         """Packets dropped at full PQs since construction."""
         return sum(pq.dropped for pq in self.pqs)
 
-    def step(self, slot: int, arrivals: np.ndarray) -> np.ndarray:
-        """Advance one time slot; returns the schedule that was applied."""
+    def step(self, slot: int, arrivals) -> np.ndarray:
+        """Advance one time slot; returns the schedule that was applied.
+
+        ``arrivals`` holds one destination (or ``NO_ARRIVAL``) per
+        input: an int array or a list of ints."""
         if self._fast_slot:
             grants = self._run_fast_block(slot, (arrivals,))
             return np.array(grants, dtype=np.int64)
@@ -427,17 +430,19 @@ class InputQueuedSwitch:
             self.service.record(schedule)
         return schedule
 
-    def run_slots(self, first_slot: int, arrivals_block: list[np.ndarray]) -> None:
+    def run_slots(self, first_slot: int, arrivals_block: list[list[int]]) -> None:
         """Advance one consecutive block of slots.
 
-        Equivalent to calling :meth:`step` once per entry of
-        ``arrivals_block`` with slots ``first_slot, first_slot+1, ...``,
-        but on the fast path the per-slot dispatch overhead is paid once
-        per *block*: attribute lookups are hoisted out of the loop, the
-        destination vectors are converted to plain ints in one pass, and
-        no numpy schedule array is materialised unless service counts
-        are being collected. Statistics and metrics stay bit-identical
-        to per-slot stepping (property-tested in ``tests/fastpath/``).
+        Equivalent to calling :meth:`step` once per row of
+        ``arrivals_block`` (one destination list per slot, as
+        :func:`repro.sim.simulator._drive` gets it from one ``tolist()``
+        of the traffic block) with slots
+        ``first_slot, first_slot+1, ...``, but on the fast path the
+        per-slot dispatch overhead is paid once per *block*: attribute
+        lookups are hoisted out of the loop and no numpy schedule array
+        is materialised unless service counts are being collected.
+        Statistics and metrics stay bit-identical to per-slot stepping
+        (property-tested in ``tests/fastpath/``).
 
         ``measuring`` must not change mid-block — the simulation driver
         splits its blocks at the warmup boundary.
@@ -456,16 +461,15 @@ class InputQueuedSwitch:
 
         Same four stages in the same order as :meth:`step`, but the
         scheduler is fed the incrementally-maintained request bitmasks
-        (``VOQSet.row_masks`` / ``col_masks``), the queue stages are one
-        slot-level operation each (:func:`~repro.sim.queues.
-        enqueue_arrivals`, :func:`~repro.sim.queues.inject_heads`,
-        :meth:`~repro.sim.queues.VOQSet.pop_granted`) instead of
-        per-packet method calls, and all bookkeeping stays in plain
-        Python ints. With a metrics registry each slot keeps
-        only cheap tallies — the grant count, the decision trace, the
-        pending RR override — and the counters, forward buffers and live
-        estimators are flushed at the end of the block, the only place
-        exporters and checkpoints look.
+        (``VOQSet.row_masks`` / ``col_masks``), the queue stages are
+        slot-level operations (:func:`~repro.sim.queues.admit_arrivals`
+        for generation and injection, :meth:`~repro.sim.queues.VOQSet.
+        pop_granted` for forwarding) instead of per-packet method calls,
+        and all bookkeeping stays in plain Python ints. With a metrics
+        registry each slot keeps only cheap tallies — the grant count,
+        the decision trace, the pending RR override — and the counters,
+        forward buffers and live estimators are flushed at the end of the
+        block, the only place exporters and checkpoints look.
         """
         measuring = self.measuring
         pqs = self.pqs
@@ -489,10 +493,9 @@ class InputQueuedSwitch:
 
         slot = first_slot
         for arrivals in arrivals_block:
-            # 1. Generation into PQs; 2. injection, one packet per input
-            #    link per slot — each one slot-level queue operation.
-            arrived += enqueue_arrivals(pqs, arrivals.tolist(), slot)
-            inject_heads(pqs, voqs)
+            # 1. Generation into PQs and 2. injection, one packet per
+            #    input link per slot — one fused pass over the inputs.
+            arrived += admit_arrivals(pqs, voqs, arrivals, slot)
 
             # 3. Scheduling straight off the maintained bitmasks (the
             #    kernel only reads them; forwarding updates them). The

@@ -27,7 +27,7 @@ import numpy as np
 from repro.core.base import Scheduler
 from repro.sim.config import SimConfig
 from repro.sim.metrics import OnlineStats
-from repro.sim.queues import PacketQueue, VOQSet, enqueue_arrivals, inject_heads
+from repro.sim.queues import PacketQueue, VOQSet, admit_arrivals
 from repro.types import NO_GRANT
 
 
@@ -72,14 +72,13 @@ class PipelinedSwitch:
     def dropped(self) -> int:
         return sum(pq.dropped for pq in self.pqs)
 
-    def step(self, slot: int, arrivals: np.ndarray) -> np.ndarray:
+    def step(self, slot: int, arrivals) -> np.ndarray:
         n = self.n
         # 1. Generation into PQs and 2. injection (one per input link
         #    per slot).
-        arrived = enqueue_arrivals(self.pqs, arrivals.tolist(), slot)
+        arrived = admit_arrivals(self.pqs, self.voqs, arrivals, slot)
         if self.measuring:
             self.offered += arrived
-        inject_heads(self.pqs, self.voqs)
 
         # 3. Launch a new schedule into the pipeline, computed on the
         #    *schedulable* occupancy (queued minus already reserved).

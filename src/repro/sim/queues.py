@@ -10,13 +10,14 @@ Two granularities of the same operations: the per-packet methods
 (``PacketQueue.push/head/pop``, ``VOQSet.has_space/push/pop``) serve
 callers that hook individual packets — the crossbar's general
 ``step()`` (tracer events, down inputs, admission) and the multi-stage
-fabric. The slot-level operations (:func:`enqueue_arrivals`,
-:func:`inject_heads`, :meth:`VOQSet.pop_granted`) run one whole stage
-of one slot in a single call, straight on the deques, the occupancy
-matrix and the request masks, for the slot loops that need no
-per-packet hook (the crossbar's fast block loop, the CIOQ and
-pipelined switches). Both keep the same state: drop counters, the VOQ
-capacity check, occupancy and masks end every slot identically.
+fabric. The slot-level operations run whole stages of one slot in a
+single call, straight on the deques, the occupancy matrix and the
+request masks, for the slot loops that need no per-packet hook (the
+crossbar's fast block loop, the CIOQ and pipelined switches):
+:func:`admit_arrivals` is generation and injection fused into one pass
+over the inputs, :meth:`VOQSet.pop_granted` is forwarding. Both
+granularities keep the same state: drop counters, the VOQ capacity
+check, occupancy and masks end every slot identically.
 """
 
 from __future__ import annotations
@@ -181,36 +182,50 @@ class VOQSet:
         return heads
 
 
-def enqueue_arrivals(pqs: list[PacketQueue], arrivals: list[int], slot: int) -> int:
-    """Generation for one slot: ``arrivals[i]`` (a destination or
-    ``NO_ARRIVAL``) enters PQ ``i`` stamped ``slot``; a full PQ drops it
-    and counts the drop. Returns the number of arrivals. Same effect as
-    one :meth:`PacketQueue.push` per arrival."""
-    arrived = 0
-    for i, dst in enumerate(arrivals):
-        if dst != NO_ARRIVAL:
-            arrived += 1
-            pq = pqs[i]
-            queue = pq._queue
-            if len(queue) < pq.capacity:
-                queue.append((dst, slot))
-            else:
-                pq.dropped += 1
-    return arrived
+def admit_arrivals(pqs: list[PacketQueue], voqs: VOQSet, arrivals, slot: int) -> int:
+    """Generation and injection for one slot, one input at a time.
 
+    ``arrivals[i]`` (a destination or ``NO_ARRIVAL``; a list of ints or
+    an int array) enters PQ ``i`` stamped ``slot`` — a full PQ drops it
+    and counts the drop — and then input ``i``'s link moves its PQ head
+    into its VOQ unless that VOQ is full (the head then blocks the PQ).
+    Returns the number of arrivals.
 
-def inject_heads(pqs: list[PacketQueue], voqs: VOQSet) -> None:
-    """Injection for one slot: each input link moves its PQ head into
-    its VOQ unless that VOQ is full (the head then blocks its PQ). Same
-    effect as the per-packet ``head`` / ``has_space`` / ``pop`` /
-    ``push`` sequence over every input."""
+    Fusing the two stages per input is exact because generation and
+    injection of input ``i`` touch only PQ ``i`` and VOQ row ``i``: the
+    result equals every arrival's :meth:`PacketQueue.push` followed by
+    every input's ``head`` / ``has_space`` / ``pop`` / :meth:`VOQSet.push`.
+    An arrival at an empty PQ whose VOQ has room goes straight into the
+    VOQ without touching the PQ.
+    """
+    if isinstance(arrivals, np.ndarray):
+        arrivals = arrivals.tolist()
     queues = voqs._queues
     occupancy = voqs._occupancy
     rows, cols = voqs.row_masks, voqs.col_masks
     capacity = voqs.capacity
-    for i, pq in enumerate(pqs):
-        pending = pq._queue
-        if not pending:
+    arrived = 0
+    for i, dst in enumerate(arrivals):
+        pending = pqs[i]._queue
+        if dst != NO_ARRIVAL:
+            arrived += 1
+            if not pending:
+                queue = queues[i][dst]
+                if len(queue) < capacity:
+                    queue.append(slot)
+                    occupancy[i, dst] = len(queue)
+                    if len(queue) == 1:
+                        rows[i] |= 1 << dst
+                        cols[dst] |= 1 << i
+                else:
+                    pending.append((dst, slot))
+                continue
+            pq = pqs[i]
+            if len(pending) < pq.capacity:
+                pending.append((dst, slot))
+            else:
+                pq.dropped += 1
+        elif not pending:
             continue
         dst, t_generated = pending[0]
         queue = queues[i][dst]
@@ -221,6 +236,7 @@ def inject_heads(pqs: list[PacketQueue], voqs: VOQSet) -> None:
             if len(queue) == 1:
                 rows[i] |= 1 << dst
                 cols[dst] |= 1 << i
+    return arrived
 
 
 class OutputQueue:

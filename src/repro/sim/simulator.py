@@ -193,11 +193,15 @@ def _drive(
     """Run slots ``start_slot .. stop_slot-1`` through the switch.
 
     Slots are driven in blocks (split at the warmup boundary so the
-    measuring flag is constant within a block): the crossbar's
-    ``run_slots`` amortises per-slot Python dispatch the same way
-    batched traffic generators amortise arrivals. The arrival vectors
-    are still drawn one slot at a time, so the pattern's sample path —
-    and therefore every statistic — is identical to per-slot stepping.
+    measuring flag is constant within a block). Each block's arrivals
+    come from one ``pattern.arrivals(slots)`` call, which draws exactly
+    what per-slot draws would (see :meth:`repro.traffic.base.
+    TrafficPattern.arrivals`), and one ``tolist()`` turns them into
+    plain int rows; the crossbar's ``run_slots`` then amortises
+    per-slot Python dispatch over the block. The pattern's sample path
+    — and therefore every statistic — is identical to per-slot
+    stepping, and since a block never crosses a checkpoint boundary,
+    nothing is drawn ahead of a checkpoint.
 
     Blocks are additionally capped at ``checkpoint_every`` multiples so
     ``checkpoint_hook(slot)`` always observes a clean slot boundary:
@@ -220,7 +224,7 @@ def _drive(
             boundary = (slot // checkpoint_every + 1) * checkpoint_every
             if slot < boundary < end:
                 end = boundary
-        block = [pattern.arrivals() for _ in range(end - slot)]
+        block = pattern.arrivals(end - slot).tolist()
         if run_block is not None:
             run_block(slot, block)
         else:

@@ -51,7 +51,7 @@ class BurstyOnOff(TrafficPattern):
         self._on[:] = False
         self._dst[:] = 0
 
-    def arrivals(self) -> np.ndarray:
+    def next_slot(self) -> np.ndarray:
         n = self.n
         # State transitions happen at slot boundaries, before generation.
         end = self.rng.random(n)

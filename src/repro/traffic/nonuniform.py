@@ -35,7 +35,7 @@ class Hotspot(TrafficPattern):
         self.hotspot = hotspot
         self.fraction = fraction
 
-    def arrivals(self) -> np.ndarray:
+    def next_slot(self) -> np.ndarray:
         active = self.rng.random(self.n) < self.load
         uniform_dst = self.rng.integers(0, self.n, size=self.n)
         hot = self.rng.random(self.n) < self.fraction
@@ -58,7 +58,7 @@ class Diagonal(TrafficPattern):
 
     name = "diagonal"
 
-    def arrivals(self) -> np.ndarray:
+    def next_slot(self) -> np.ndarray:
         active = self.rng.random(self.n) < self.load
         second = self.rng.random(self.n) < (1.0 / 3.0)
         ports = np.arange(self.n)
@@ -87,7 +87,7 @@ class LogDiagonal(TrafficPattern):
         weights = 2.0 ** -np.arange(n)
         self._offsets_p = weights / weights.sum()
 
-    def arrivals(self) -> np.ndarray:
+    def next_slot(self) -> np.ndarray:
         active = self.rng.random(self.n) < self.load
         offsets = self.rng.choice(self.n, size=self.n, p=self._offsets_p)
         dst = (np.arange(self.n) + offsets) % self.n
@@ -121,7 +121,7 @@ class Permutation(TrafficPattern):
             raise ValueError("permutation must be a permutation of 0..n-1")
         self.permutation = permutation
 
-    def arrivals(self) -> np.ndarray:
+    def next_slot(self) -> np.ndarray:
         active = self.rng.random(self.n) < self.load
         return np.where(active, self.permutation, NO_ARRIVAL).astype(np.int64)
 

@@ -37,7 +37,7 @@ class TraceReplay(TrafficPattern):
         super().reset()
         self._cursor = 0
 
-    def arrivals(self) -> np.ndarray:
+    def next_slot(self) -> np.ndarray:
         if self._cursor >= len(self.trace):
             if not self.wrap:
                 return np.full(self.n, NO_ARRIVAL, dtype=np.int64)
@@ -58,4 +58,4 @@ class TraceReplay(TrafficPattern):
 def record_trace(pattern: TrafficPattern, slots: int) -> np.ndarray:
     """Capture ``slots`` slots of arrivals from ``pattern`` into a trace
     array suitable for :class:`TraceReplay`."""
-    return np.stack([pattern.arrivals() for _ in range(slots)])
+    return pattern.arrivals(slots)

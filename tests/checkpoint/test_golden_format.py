@@ -105,3 +105,33 @@ def test_legacy_word_tuple_keys_resume_harmlessly(tmp_path):
     save_checkpoint(ckpt, payload)
 
     assert resume_simulation(ckpt).row() == straight.row()
+
+
+def test_legacy_pattern_batch_keys_resume_harmlessly(tmp_path):
+    # Files written while BernoulliUniform had a ``batch`` knob carry
+    # its ``batch`` and (always empty at batch 1) ``_pending`` keys;
+    # restoring sets them as inert attributes, so the format version is
+    # unchanged and such a file resumes to the straight run's exact
+    # result and generator position.
+    from repro.checkpoint import load_checkpoint, resume_simulation, save_checkpoint
+    from repro.sim.config import SimConfig
+    from repro.sim.simulator import run_simulation
+
+    config = SimConfig(n_ports=5, warmup_slots=10, measure_slots=90, seed=3)
+    straight = run_simulation(config, "lcf_central_rr", 0.8, collect_percentiles=True)
+    ckpt = tmp_path / "run.ckpt"
+    run_simulation(
+        config, "lcf_central_rr", 0.8, collect_percentiles=True,
+        checkpoint_path=ckpt, stop_at_slot=37,
+    )
+
+    payload = load_checkpoint(ckpt)
+    pattern = payload["state"]["pattern"]
+    assert "_pending" not in pattern and "batch" not in pattern
+    pattern["_pending"] = []
+    pattern["batch"] = 1
+    save_checkpoint(ckpt, payload)
+
+    resumed = resume_simulation(ckpt)
+    assert resumed.row() == straight.row()
+    assert resumed.percentiles == straight.percentiles

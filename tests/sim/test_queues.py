@@ -6,13 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.config import SimConfig
-from repro.sim.queues import (
-    OutputQueue,
-    PacketQueue,
-    VOQSet,
-    enqueue_arrivals,
-    inject_heads,
-)
+from repro.sim.queues import OutputQueue, PacketQueue, VOQSet, admit_arrivals
 from repro.sim.simulator import run_simulation
 from repro.traffic.base import NO_ARRIVAL
 from repro.types import NO_GRANT
@@ -152,9 +146,10 @@ class TestVOQMasks:
 
 
 class TestSlotLevelOperations:
-    """The slot-level generation / injection / forwarding operations
-    must leave exactly the state the per-packet method sequence leaves:
-    PQ contents and drop counters, VOQ deques, occupancy and masks."""
+    """The slot-level operations — admission (generation fused with
+    injection) and forwarding — must leave exactly the state the
+    per-packet method sequence leaves: PQ contents and drop counters,
+    VOQ deques, occupancy and masks."""
 
     @staticmethod
     def per_packet_generation(pqs, arrivals, slot):
@@ -164,11 +159,18 @@ class TestSlotLevelOperations:
 
     @staticmethod
     def per_packet_injection(pqs, voqs):
+        """Returns how many PQ heads a full VOQ blocked."""
+        blocked = 0
         for i, pq in enumerate(pqs):
             head = pq.head()
-            if head is not None and voqs.has_space(i, head[0]):
+            if head is None:
+                continue
+            if voqs.has_space(i, head[0]):
                 dst, t_generated = pq.pop()
                 voqs.push(i, dst, t_generated)
+            else:
+                blocked += 1
+        return blocked
 
     @staticmethod
     def state(pqs, voqs):
@@ -181,32 +183,27 @@ class TestSlotLevelOperations:
             list(voqs.col_masks),
         )
 
-    @given(
-        n=st.sampled_from([4, 65]),
-        pq_capacity=st.integers(1, 3),
-        voq_capacity=st.integers(1, 2),
-        load=st.floats(0.0, 1.0),
-        slots=st.integers(1, 30),
-        seed=st.integers(0, 2**16),
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_match_the_per_packet_sequence(
-        self, n, pq_capacity, voq_capacity, load, slots, seed
-    ):
+    def run_both(self, n, pq_capacity, voq_capacity, load, slots, seed):
+        """Drive the per-packet sequence and :func:`admit_arrivals` side
+        by side, comparing the full queue state after every stage;
+        returns the per-packet side's (PQ drops, blocked PQ heads)."""
         rng = np.random.default_rng(seed)
         pqs_a = [PacketQueue(pq_capacity) for _ in range(n)]
         pqs_b = [PacketQueue(pq_capacity) for _ in range(n)]
         voqs_a, voqs_b = VOQSet(n, voq_capacity), VOQSet(n, voq_capacity)
+        blocked = 0
         for slot in range(slots):
             # A skewed destination draw so VOQs fill and PQ heads block.
             dst = rng.integers(0, min(n, 3), size=n)
-            arrivals = np.where(rng.random(n) < load, dst, NO_ARRIVAL).tolist()
-            self.per_packet_generation(pqs_a, arrivals, slot)
-            assert enqueue_arrivals(pqs_b, arrivals, slot) == sum(
-                d != NO_ARRIVAL for d in arrivals
+            arrivals = np.where(rng.random(n) < load, dst, NO_ARRIVAL)
+            self.per_packet_generation(pqs_a, arrivals.tolist(), slot)
+            blocked += self.per_packet_injection(pqs_a, voqs_a)
+            # Rows arrive as int lists from the block loop and as arrays
+            # from direct step() callers; both must behave the same.
+            rows = arrivals.tolist() if slot % 2 else arrivals
+            assert admit_arrivals(pqs_b, voqs_b, rows, slot) == int(
+                (arrivals != NO_ARRIVAL).sum()
             )
-            self.per_packet_injection(pqs_a, voqs_a)
-            inject_heads(pqs_b, voqs_b)
             assert self.state(pqs_a, voqs_a) == self.state(pqs_b, voqs_b)
 
             # Forward a random partial matching over the occupied VOQs.
@@ -220,6 +217,31 @@ class TestSlotLevelOperations:
             ]
             assert voqs_b.pop_granted(grants) == expected
             assert self.state(pqs_a, voqs_a) == self.state(pqs_b, voqs_b)
+        return sum(pq.dropped for pq in pqs_a), blocked
+
+    @given(
+        n=st.sampled_from([4, 65]),
+        pq_capacity=st.integers(1, 3),
+        voq_capacity=st.integers(1, 2),
+        load=st.floats(0.0, 1.0),
+        slots=st.integers(1, 30),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_match_the_per_packet_sequence(
+        self, n, pq_capacity, voq_capacity, load, slots, seed
+    ):
+        self.run_both(n, pq_capacity, voq_capacity, load, slots, seed)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_admission_matches_through_drops_and_head_blocking(self, seed):
+        # Tiny queues at full load: PQs overflow and full VOQs block PQ
+        # heads in the same run, so both slow branches are compared.
+        dropped, blocked = self.run_both(
+            n=6, pq_capacity=2, voq_capacity=1, load=1.0, slots=60, seed=seed
+        )
+        assert dropped > 0
+        assert blocked > 0
 
     @pytest.mark.parametrize("scheduler", ["wfront", "lcf_central_rr"])
     def test_tiny_queues_run_identically_on_the_fast_loop(self, scheduler):

@@ -65,6 +65,8 @@ BAD = (
     ("--checkpoint-every", ("--checkpoint-every", "0", *CHECKPOINT),
      "trace faults adapt"),
     ("--stop-at", ("--stop-at", "-1", *CHECKPOINT), "trace faults"),
+    # A run that never pauses would write no checkpoint.
+    ("--checkpoint", CHECKPOINT, "trace faults adapt"),
     ("--replicates", ("--replicates", "0"), "sweep faults adapt"),
     ("--workers", ("--workers", "0"), "sweep faults adapt"),
     ("--resume", ("--resume", "{tmp}/missing.ckpt"), "trace faults adapt"),
@@ -97,6 +99,55 @@ def test_base_invocation_is_valid(prog, tmp_path, capsys):
     """The cases above fail because of their one bad flag, not the base."""
     argv = [arg.format(tmp=tmp_path) for arg in BASE[prog]]
     assert _exit_code(prog, [*argv, "--quiet"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+#: A small valid sweep per grid mode, artifacts pointed into {tmp}.
+GRID_BASE = {
+    "lcf-faults --loss-grid": ("--loss-grid", "0,0.1"),
+    "lcf-faults --availability-grid": ("--availability-grid", "1.0,0.9"),
+    "lcf-adapt --availability-grid": ("--availability-grid", "1.0,0.9"),
+    "lcf-fabric --load-grid": ("--load-grid", "0.5,0.9"),
+}
+_GRID_COMMON = ("--slots", "10", "--warmup", "0", "--json", "{tmp}/r.json",
+                "--csv", "{tmp}/r.csv")
+_GRID_SCHEDULERS = {"lcf-faults": ("--ports", "4", "--schedulers", "islip"),
+                    "lcf-adapt": ("--ports", "4", "--schedulers", "lcf_central_rr"),
+                    "lcf-fabric": ()}
+
+#: (single-run flag, its argv, grid commands that accept it).
+SINGLE_RUN = (
+    ("--trace-out", ("--trace-out", "{tmp}/t.jsonl"), "faults adapt fabric"),
+    ("--checkpoint", (*CHECKPOINT, "--checkpoint-every", "5"), "faults adapt"),
+    ("--admission", ("--admission", "50:100"), "faults"),
+)
+
+GRID_CASES = [
+    pytest.param(mode, flag, extra, id=f"{mode} {flag}")
+    for flag, extra, commands in SINGLE_RUN
+    for mode in GRID_BASE
+    if mode.split()[0].removeprefix("lcf-") in commands.split()
+]
+
+
+def _grid_argv(mode: str, tmp_path, *extra: str) -> list[str]:
+    prog = mode.split()[0]
+    argv = (*_GRID_SCHEDULERS[prog], *GRID_BASE[mode], *_GRID_COMMON, *extra)
+    return [arg.format(tmp=tmp_path) for arg in argv]
+
+
+@pytest.mark.parametrize("mode,flag,extra", GRID_CASES)
+def test_grid_mode_rejects_single_run_flags(mode, flag, extra, tmp_path, capsys):
+    """A sweep would silently ignore a trace, checkpoint or admission
+    flag; it exits 2 instead."""
+    assert _exit_code(mode.split()[0], _grid_argv(mode, tmp_path, *extra)) == 2
+    assert flag in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("mode", sorted(GRID_BASE))
+def test_grid_base_invocation_is_valid(mode, tmp_path, capsys):
+    assert _exit_code(mode.split()[0], _grid_argv(mode, tmp_path, "--quiet")) == 0
     assert capsys.readouterr().err == ""
 
 

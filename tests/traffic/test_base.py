@@ -12,7 +12,7 @@ class _TwoDestinations(TrafficPattern):
 
     name = "_test_two"
 
-    def arrivals(self) -> np.ndarray:
+    def next_slot(self) -> np.ndarray:
         dst = self.rng.integers(0, 2, size=self.n)  # outputs 0 or 1 only
         return dst.astype(np.int64)
 
